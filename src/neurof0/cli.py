@@ -30,7 +30,7 @@ from .pipeline import (
     load_config,
     run_pipeline,
 )
-from .voice import F0Trajectory, map_trajectory, synthesize, write_wav
+from .voice import F0Trajectory, synthesize, write_wav
 
 DEFAULT_MODEL_NAME = "model.nf0f"
 
@@ -233,18 +233,13 @@ def _read_column(path, column: str) -> list[float]:
     return values
 
 
-def _write_stage_csvs(out: Path, result: PipelineResult, cfg: PipelineConfig, rec) -> None:
-    have_truth = rec.kinematics is not None
+def _write_stage_csvs(out: Path, result: PipelineResult, rec) -> None:
+    have_truth = result.true_activations is not None
     angle_header = ["t_s", "activation", "angle_deg"]
     f0_header = ["t_s", "f0_hz"]
-    true_classes = None
-    true_f0 = None
     if have_truth:
         angle_header += ["true_activation", "true_angle_deg"]
         f0_header.append("true_f0_hz")
-        true_angles = AngleTrajectory(rec.kinematics)
-        true_classes = derive_labels(cfg.arm, true_angles)
-        true_f0 = map_trajectory(cfg.mapping, true_angles)
 
     angle_rows = []
     f0_rows = []
@@ -253,8 +248,8 @@ def _write_stage_csvs(out: Path, result: PipelineResult, cfg: PipelineConfig, re
         arow = [t, _fmt(result.activations[i].level), _fmt(result.angles.angles_deg[i])]
         frow = [t, _fmt(result.f0.values_hz[i])]
         if have_truth:
-            arow += [_fmt(true_classes[i].level), _fmt(rec.kinematics[i])]
-            frow.append(_fmt(true_f0.values_hz[i]))
+            arow += [_fmt(result.true_activations[i].level), _fmt(rec.kinematics[i])]
+            frow.append(_fmt(result.true_f0.values_hz[i]))
         angle_rows.append(arow)
         f0_rows.append(frow)
     _write_csv(out / "angles.csv", angle_header, angle_rows)
@@ -269,7 +264,7 @@ def _cmd_decode(args, cfg: PipelineConfig) -> int:
     model = load_model(_model_path(args, cfg))
     result = run_pipeline(cfg, rec, model)
     out = _out_dir(args)
-    _write_stage_csvs(out, result, cfg, rec)
+    _write_stage_csvs(out, result, rec)
     print(f"wrote {out / 'angles.csv'} and {out / 'f0.csv'} ({len(result.activations)} steps)")
     return 0
 
@@ -296,7 +291,7 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
     model = load_model(_model_path(args, cfg))
     result = run_pipeline(cfg, rec, model)
     out = _out_dir(args)
-    _write_stage_csvs(out, result, cfg, rec)
+    _write_stage_csvs(out, result, rec)
     write_wav(result.audio, out / "out.wav")
     if result.metrics is not None:
         (out / "metrics.json").write_text(result.metrics.to_json())

@@ -12,7 +12,9 @@ Conventions
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -155,12 +157,13 @@ def load_recording_csv(path) -> EegRecording:
 
     Expected layout: a header row naming the 10 EEG channels, optionally
     followed by an ``angle_deg`` column; one data row per 1 ms sample.
-    The angle column may be populated only on some rows (normally every
-    10th row, once per control step); empty cells are skipped and the
-    non-empty values become the kinematics series in row order.
+    The angle column may be populated only on the first row of each
+    10-row (0.01 s) window; empty cells are skipped and the non-empty
+    values become the kinematics series in row order.
 
-    Raises DataError on a wrong channel count, ragged rows, or any
-    non-numeric cell. A missing file raises FileNotFoundError.
+    Raises DataError naming the row on a wrong channel count, ragged rows,
+    a non-numeric or non-finite cell, or an angle off a window's first
+    row. A missing file raises FileNotFoundError.
     """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -169,46 +172,67 @@ def load_recording_csv(path) -> EegRecording:
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
-        angle_col = None
-        if ANGLE_COLUMN in header:
-            angle_col = header.index(ANGLE_COLUMN)
-            channel_names = [h for i, h in enumerate(header) if i != angle_col]
-        else:
-            channel_names = header
+        angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
+        channel_names = [h for i, h in enumerate(header) if i != angle_col]
         if len(channel_names) != N_CHANNELS:
             raise DataError(
                 f"{path}: expected {N_CHANNELS} signal columns, found {len(channel_names)}"
             )
 
-        columns: list[list[float]] = [[] for _ in channel_names]
         angles: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                )
-            ch = 0
-            for i, cell in enumerate(row):
-                if i == angle_col:
-                    cell = cell.strip()
-                    if cell:
-                        angles.append(_parse_cell(cell, path, row_no))
-                    continue
-                columns[ch].append(_parse_cell(cell, path, row_no))
-                ch += 1
+        last = [0, []]  # row number and signal cells of the row being converted
 
-    samples = np.array(columns, dtype=float)
-    if samples.size == 0:
-        samples = samples.reshape(N_CHANNELS, 0)
+        def signal_rows():
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                    )
+                if angle_col is not None:
+                    cell = row.pop(angle_col).strip()
+                    if cell:
+                        if (row_no - 2) % SAMPLES_PER_FRAME:
+                            raise DataError(
+                                f"{path}: {ANGLE_COLUMN} value on row {row_no}, which is "
+                                f"not the first row of its {SAMPLES_PER_FRAME}-row window"
+                            )
+                        angles.append(_cell_value(cell, path, row_no, ANGLE_COLUMN))
+                last[:] = row_no, row
+                yield row
+
+        try:
+            flat = np.fromiter(map(float, chain.from_iterable(signal_rows())), dtype=float)
+        except DataError:
+            raise
+        except ValueError:
+            # the cell that failed is in the last row handed to the conversion
+            row_no, row = last
+            for name, cell in zip(channel_names, row):
+                _cell_value(cell, path, row_no, name)
+            raise
+
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        row, col = divmod(int(bad[0]), N_CHANNELS)
+        raise DataError(
+            f"{path}: non-finite value {float(flat[bad[0]])!r} on row {row + 2}, "
+            f"column {channel_names[col]}"
+        )
+    samples = flat.reshape(-1, N_CHANNELS).T
     kinematics = np.array(angles, dtype=float) if angles else None
     return EegRecording(samples=samples, channel_names=channel_names, kinematics=kinematics)
 
 
-def _parse_cell(cell: str, path, row_no: int) -> float:
+def _cell_value(cell: str, path, row_no: int, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise DataError(f"{path}: non-numeric cell {cell!r} on row {row_no}") from None
+        raise DataError(
+            f"{path}: non-numeric cell {cell!r} on row {row_no}, column {column}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: non-finite value {cell!r} on row {row_no}, column {column}")
+    return value
 
 
 def write_recording_csv(rec: EegRecording, path) -> None:
@@ -237,11 +261,13 @@ def write_recording_csv(rec: EegRecording, path) -> None:
             writer.writerow(row)
 
 
-def window_frames(rec: EegRecording, window_s: float = 0.01) -> list[EegFrame]:
+def window_matrix(rec: EegRecording, window_s: float = 0.01) -> np.ndarray:
     """Cut a recording into consecutive non-overlapping 10 x 10 frames.
 
-    The trailing partial window, if any, is dropped. window_s times the
-    sample rate must be a whole number of samples (10 at the defaults).
+    Returns the (n_frames, 100) feature matrix: row i is frame i flattened
+    row-major (channel-major), as EegFrame.features() would give it. The
+    trailing partial window, if any, is dropped. window_s times the sample
+    rate must be a whole number of samples (10 at the defaults).
     """
     spw_exact = window_s * rec.sample_rate_hz
     spw = int(round(spw_exact))
@@ -255,9 +281,25 @@ def window_frames(rec: EegRecording, window_s: float = 0.01) -> list[EegFrame]:
         raise ValueError(
             f"recording has {rec.n_samples} samples, fewer than one {spw}-sample window"
         )
+    if (rec.n_channels, spw) != (N_CHANNELS, SAMPLES_PER_FRAME):
+        raise ValueError(
+            f"frame must be {N_CHANNELS}x{SAMPLES_PER_FRAME}, got {(rec.n_channels, spw)}"
+        )
+    X = (rec.samples[:, :n_frames * spw]
+         .reshape(N_CHANNELS, n_frames, spw)
+         .transpose(1, 0, 2)
+         .reshape(n_frames, N_CHANNELS * spw))
+    bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
+    if bad.size:
+        raise ValueError(f"frame {int(bad[0])} contains non-finite values")
+    return X
+
+
+def window_frames(rec: EegRecording, window_s: float = 0.01) -> list[EegFrame]:
+    """The rows of window_matrix as EegFrame objects, indexed in order."""
     return [
-        EegFrame(values=rec.samples[:, i * spw:(i + 1) * spw], index=i)
-        for i in range(n_frames)
+        EegFrame(values=x.reshape(N_CHANNELS, SAMPLES_PER_FRAME), index=i)
+        for i, x in enumerate(window_matrix(rec, window_s))
     ]
 
 

@@ -65,24 +65,54 @@ class DecisionTree:
     """Flat preorder node arrays; feature == LEAF marks a leaf.
 
     class_counts holds the bootstrap-sample class histogram of every node
-    (meaningful for prediction at leaves).
+    (meaningful for prediction at leaves, where it may not be all zero).
+    Every internal node i splits on a feature in 0..99 and has
+    left == i + 1 and i + 1 < right < n_nodes, and a preorder walk from
+    the root meets the nodes in id order, each once. Child ids thus
+    strictly increase along every path, which makes every traversal end.
     """
 
-    feature: np.ndarray       # int32, LEAF for leaves
+    feature: np.ndarray       # int, LEAF for leaves
     threshold: np.ndarray     # float64, 0.0 for leaves
-    left: np.ndarray          # int32 child ids, 0 for leaves
-    right: np.ndarray         # int32 child ids, 0 for leaves
+    left: np.ndarray          # int child ids, 0 for leaves
+    right: np.ndarray         # int child ids, 0 for leaves
     class_counts: np.ndarray  # int64, (n_nodes, N_CLASSES)
 
     def __post_init__(self):
         n = len(self.feature)
+        if n == 0:
+            raise ValueError("tree has no nodes")
         for name in ("threshold", "left", "right"):
             if len(getattr(self, name)) != n:
                 raise ValueError("node arrays must have equal length")
         if self.class_counts.shape != (n, N_CLASSES):
             raise ValueError("class_counts must be (n_nodes, 10)")
-        if n == 0:
-            raise ValueError("tree has no nodes")
+
+        ids = np.arange(n)
+        inner = self.feature != LEAF
+        bad = inner & ~((self.feature >= 0) & (self.feature < N_FEATURES)
+                        & (self.left == ids + 1)
+                        & (self.right > ids + 1) & (self.right < n))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"node {i}: feature {self.feature[i]}, children {self.left[i]} and "
+                f"{self.right[i]} break the preorder layout of {n} nodes"
+            )
+        empty = ~inner & (self.class_counts.sum(axis=1) == 0)
+        if empty.any():
+            raise ValueError(f"node {int(np.flatnonzero(empty)[0])}: leaf with no class counts")
+        inner, right = inner.tolist(), self.right.tolist()
+        stack, expected = [0], 0
+        while stack:
+            i = stack.pop()
+            if i != expected:
+                raise ValueError(f"node {i} is reached where preorder expects node {expected}")
+            expected += 1
+            if inner[i]:
+                stack += (right[i], i + 1)
+        if expected != n:
+            raise ValueError(f"node {expected} is not reachable from the root")
 
     @property
     def n_nodes(self) -> int:
@@ -215,31 +245,45 @@ def train(ds: LabeledDataset, hp: ForestHyperparams | None = None) -> ForestMode
     return ForestModel(trees=trees, hyperparams=hp)
 
 
-def _tree_vote(tree: DecisionTree, x: np.ndarray) -> int:
-    node = 0
-    while tree.feature[node] != LEAF:
-        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
-    return int(np.argmax(tree.class_counts[node]))  # ties: lowest class index
+def predict_batch(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classify every row of an (n, 100) feature matrix at once.
+
+    Returns (classes, votes): the class index 1..10 of each row and the
+    (n, 10) per-class vote counts. Each tree votes the majority class of
+    the leaf a row reaches, ties toward the lowest class index; the forest
+    returns the class with most votes, ties again toward the lowest index.
+    A tree is walked one level per step over all rows still at internal
+    nodes; a row goes left when its feature value is <= the threshold.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != N_FEATURES:
+        raise ValueError(f"feature matrix must be (n, {N_FEATURES}), got {X.shape}")
+    rows = np.arange(len(X))
+    votes = np.zeros((len(X), N_CLASSES), dtype=np.int64)
+    for tree in model.trees:
+        node = np.zeros(len(X), dtype=np.intp)
+        live = rows
+        while live.size:
+            at = node[live]
+            f = tree.feature[at]
+            inner = f != LEAF
+            live, at, f = live[inner], at[inner], f[inner]
+            go_left = X[live, f] <= tree.threshold[at]
+            node[live] = np.where(go_left, tree.left[at], tree.right[at])
+        votes[rows, np.argmax(tree.class_counts, axis=1)[node]] += 1
+    return np.argmax(votes, axis=1) + 1, votes
 
 
 def predict(model: ForestModel, frame: EegFrame) -> tuple[ActivationClass, np.ndarray]:
-    """Plurality vote over the trees; returns (class, per-class vote counts).
-
-    Each tree votes the majority class of its leaf; the forest returns the
-    class with most votes, ties broken toward the lowest class index.
-    """
-    if len(model.trees) == 0:
-        raise ValueError("model has no trees")
-    x = frame.features()
-    votes = np.zeros(N_CLASSES, dtype=np.int64)
-    for tree in model.trees:
-        votes[_tree_vote(tree, x)] += 1
-    return ActivationClass(int(np.argmax(votes)) + 1), votes
+    """predict_batch on one frame: (class, per-class vote counts)."""
+    classes, votes = predict_batch(model, frame.features()[None, :])
+    return ActivationClass(int(classes[0])), votes[0]
 
 
 def predict_trajectory(model: ForestModel, frames: Sequence[EegFrame]) -> list[ActivationClass]:
-    """Elementwise predict, preserving order."""
-    return [predict(model, f)[0] for f in frames]
+    """predict_batch over the frames, preserving order."""
+    X = np.array([f.features() for f in frames]).reshape(len(frames), N_FEATURES)
+    return [ActivationClass(k) for k in predict_batch(model, X)[0].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -315,29 +359,29 @@ def load_model(path) -> ForestModel:
         raise ModelFileError("tree count does not match n_estimators")
 
     trees = []
-    for _ in range(n_trees):
+    for t in range(n_trees):
         (n_nodes,) = reader.take("<I")
-        if n_nodes == 0:
-            raise ModelFileError("tree with zero nodes")
-        feature = np.empty(n_nodes, dtype=np.int32)
-        threshold = np.zeros(n_nodes, dtype=np.float64)
-        left = np.zeros(n_nodes, dtype=np.int32)
-        right = np.zeros(n_nodes, dtype=np.int32)
-        counts = np.zeros((n_nodes, N_CLASSES), dtype=np.int64)
-        for i in range(n_nodes):
+        nodes, counts = [], []  # (feature, threshold, left, right), leaf counts
+        for _ in range(n_nodes):
             (kind,) = reader.take("<B")
             if kind == 0:
-                feature[i] = LEAF
-                counts[i] = reader.take("<10I")
+                nodes.append((LEAF, 0.0, 0, 0))
+                counts.append(reader.take("<10I"))
             elif kind == 1:
-                f, thr, l, r = reader.take("<IdII")
-                if f >= N_FEATURES or l >= n_nodes or r >= n_nodes:
-                    raise ModelFileError("node references out of range")
-                feature[i], threshold[i], left[i], right[i] = f, thr, l, r
+                nodes.append(reader.take("<IdII"))
+                counts.append((0,) * N_CLASSES)
             else:
-                raise ModelFileError(f"unknown node kind {kind}")
-        trees.append(DecisionTree(feature=feature, threshold=threshold,
-                                  left=left, right=right, class_counts=counts))
+                raise ModelFileError(f"tree {t}: unknown node kind {kind}")
+        # float64 holds every u32 id exactly
+        feature, threshold, left, right = np.array(nodes, dtype=np.float64).reshape(n_nodes, 4).T
+        try:
+            trees.append(DecisionTree(
+                feature=feature.astype(np.int64), threshold=threshold,
+                left=left.astype(np.int64), right=right.astype(np.int64),
+                class_counts=np.array(counts, dtype=np.int64).reshape(n_nodes, N_CLASSES),
+            ))
+        except ValueError as exc:
+            raise ModelFileError(f"tree {t}: {exc}") from None
     if reader.pos != len(blob):
         raise ModelFileError("trailing data after model payload")
     return ForestModel(trees=trees, hyperparams=hp)

@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import arm as arm_mod
 from . import voice as voice_mod
 from .arm import ActivationTrajectory, AngleTrajectory, ArmModel, derive_labels, forward_dynamics
-from .eeg import ActivationClass, EegRecording, window_frames
+from .eeg import ActivationClass, EegRecording, window_matrix
 from .errors import DataError, PipelineStageError
-from .forest import ForestHyperparams, ForestModel, predict_trajectory
+from .forest import ForestHyperparams, ForestModel, predict_batch
 from .metrics import MetricsReport, accuracy, rmse
 from .voice import AudioBuffer, F0Mapping, F0Trajectory, map_trajectory, synthesize
 
@@ -120,21 +121,22 @@ def load_config(path) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """Decoded outputs; with kinematics, also their truth and the metrics."""
+
     activations: list[ActivationClass]
     angles: AngleTrajectory
     f0: F0Trajectory
     audio: AudioBuffer
     metrics: Optional[MetricsReport]
+    true_activations: Optional[list[ActivationClass]] = None
+    true_f0: Optional[F0Trajectory] = None
 
 
-def _snap_to_class_angle(model: ArmModel, theta_deg: float) -> ActivationClass:
-    """Nearest of the ten equilibrium angles, ties toward the lower class."""
-    best_k, best_d = 1, math.inf
-    for k in range(1, 11):
-        d = abs(theta_deg - arm_mod.equilibrium_angle(model, k / 10.0))
-        if d < best_d:
-            best_k, best_d = k, d
-    return ActivationClass(best_k)
+def _snap_to_class_angles(model: ArmModel, angles_deg: np.ndarray) -> np.ndarray:
+    """Class index (1..10) of the nearest of the ten equilibrium angles to
+    each angle, ties toward the lower class."""
+    eq = np.array([arm_mod.equilibrium_angle(model, k / 10.0) for k in range(1, 11)])
+    return np.argmin(np.abs(angles_deg[:, None] - eq), axis=1) + 1
 
 
 @contextmanager
@@ -156,9 +158,9 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
     PipelineStageError naming that stage.
     """
     with _stage("windowing"):
-        frames = window_frames(rec)
+        X = window_matrix(rec)
     with _stage("classification"):
-        pred_classes = predict_trajectory(model, frames)
+        pred_classes = [ActivationClass(k) for k in predict_batch(model, X)[0].tolist()]
     with _stage("dynamics"):
         angles = forward_dynamics(cfg.arm, ActivationTrajectory.from_classes(pred_classes))
     with _stage("pitch mapping"):
@@ -167,17 +169,17 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
         audio = synthesize(f0, sample_rate_hz=cfg.synth_sample_rate_hz,
                            amplitude=cfg.synth_amplitude)
 
-    metrics = None
+    metrics = true_classes = true_f0 = None
     if rec.kinematics is not None:
         true_angles = AngleTrajectory(rec.kinematics)
-        if len(true_angles) != len(frames):
+        if len(true_angles) != len(X):
             raise DataError(
-                f"kinematics length {len(true_angles)} does not match {len(frames)} frames"
+                f"kinematics length {len(true_angles)} does not match {len(X)} frames"
             )
         true_classes = derive_labels(cfg.arm, true_angles)
         true_f0 = map_trajectory(cfg.mapping, true_angles)
-        snap_pred = [_snap_to_class_angle(cfg.arm, float(t)) for t in angles.angles_deg]
-        snap_true = [_snap_to_class_angle(cfg.arm, float(t)) for t in true_angles.angles_deg]
+        snap_pred = _snap_to_class_angles(cfg.arm, angles.angles_deg).tolist()
+        snap_true = _snap_to_class_angles(cfg.arm, true_angles.angles_deg).tolist()
         metrics = MetricsReport(
             classifier_accuracy=accuracy(pred_classes, true_classes),
             activation_rmse=rmse([c.level for c in pred_classes],
@@ -185,10 +187,11 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
             angle_accuracy=accuracy(snap_pred, snap_true),
             angle_rmse_deg=rmse(angles.angles_deg, true_angles.angles_deg),
             f0_rmse_hz=rmse(f0.values_hz, true_f0.values_hz),
-            n_test=len(frames),
+            n_test=len(X),
         )
     return PipelineResult(activations=pred_classes, angles=angles, f0=f0,
-                          audio=audio, metrics=metrics)
+                          audio=audio, metrics=metrics,
+                          true_activations=true_classes, true_f0=true_f0)
 
 
 def evaluate_static(cfg: PipelineConfig, pred: list[ActivationClass],

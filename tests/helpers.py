@@ -85,3 +85,39 @@ def optimal_stump(xs, labels):
         return left if x <= thr else right
 
     return predict
+
+
+def tree_vote_reference(tree, x) -> int:
+    """Scalar root-to-leaf walk of one tree; the 0-based class its leaf votes.
+
+    A row goes left when its feature value is <= the node threshold; the
+    leaf votes its majority class, ties toward the lowest class index.
+    """
+    from neurof0.forest import LEAF
+
+    node = 0
+    while tree.feature[node] != LEAF:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return int(np.argmax(tree.class_counts[node]))
+
+
+def forest_votes_reference(model, x) -> np.ndarray:
+    """Per-class vote counts of the forest on one 100-feature row."""
+    votes = np.zeros(10, dtype=np.int64)
+    for tree in model.trees:
+        votes[tree_vote_reference(tree, x)] += 1
+    return votes
+
+
+def snap_to_class_angle_reference(model, theta_deg: float) -> int:
+    """Class index of the nearest of the ten equilibrium angles, found by a
+    10-way scan that keeps the first strict minimum (ties toward the lower
+    class)."""
+    from neurof0.arm import equilibrium_angle
+
+    best_k, best_d = 1, float("inf")
+    for k in range(1, 11):
+        d = abs(theta_deg - equilibrium_angle(model, k / 10.0))
+        if d < best_d:
+            best_k, best_d = k, d
+    return best_k

@@ -10,6 +10,7 @@ from neurof0.eeg import (
     load_recording_csv,
     split_dataset,
     window_frames,
+    window_matrix,
     write_recording_csv,
 )
 from neurof0.errors import DataError
@@ -272,3 +273,64 @@ def test_labeled_dataset_length_mismatch():
     frames = [EegFrame(values=np.zeros((10, 10)))]
     with pytest.raises(ValueError):
         LabeledDataset(frames=frames, labels=[])
+
+
+def write_csv(path, rows, angle=False):
+    header = ",".join(DEFAULT_CHANNELS) + (",angle_deg" if angle else "")
+    path.write_text(header + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
+
+
+class TestCsvBoundaries:
+    def test_angle_off_window_start_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        rows = [["1.0"] * 10 + [""] for _ in range(20)]
+        rows[0][10] = "10.0"
+        rows[8][10] = "12.0"  # 9th row of the first window, file row 10
+        write_csv(path, rows, angle=True)
+        with pytest.raises(DataError, match="row 10"):
+            load_recording_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_sample_rejected_with_location(self, tmp_path, bad):
+        path = tmp_path / "r.csv"
+        rows = [["1.0"] * 10 for _ in range(20)]
+        rows[13][4] = bad
+        write_csv(path, rows)
+        with pytest.raises(DataError, match=r"row 15, column T3"):
+            load_recording_csv(path)
+
+    def test_non_finite_angle_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        rows = [["1.0"] * 10 + [""] for _ in range(20)]
+        rows[10][10] = "nan"
+        write_csv(path, rows, angle=True)
+        with pytest.raises(DataError, match="row 12, column angle_deg"):
+            load_recording_csv(path)
+
+    def test_non_numeric_cell_named(self, tmp_path):
+        path = tmp_path / "r.csv"
+        rows = [["1.0"] * 10 + [""] for _ in range(30)]
+        rows[17][2] = "oops"
+        write_csv(path, rows, angle=True)
+        with pytest.raises(DataError, match=r"'oops' on row 19, column F7"):
+            load_recording_csv(path)
+
+
+class TestWindowMatrix:
+    def test_rows_are_frame_features(self):
+        rec = make_recording(105)
+        X = window_matrix(rec)
+        assert X.shape == (10, 100)
+        np.testing.assert_array_equal(X, [f.features() for f in window_frames(rec)])
+
+    def test_non_finite_frame_named(self):
+        samples = np.zeros((10, 50))
+        samples[3, 27] = np.inf
+        with pytest.raises(ValueError, match="frame 2"):
+            window_matrix(EegRecording(samples=samples))
+
+    def test_frame_shape_enforced(self):
+        with pytest.raises(ValueError):
+            window_matrix(make_recording(100, sample_rate=2000.0))
+        with pytest.raises(ValueError):
+            window_matrix(EegRecording(samples=np.zeros((3, 50)), channel_names="abc"))

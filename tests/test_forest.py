@@ -13,6 +13,7 @@ from neurof0.forest import (
     ForestModel,
     load_model,
     predict,
+    predict_batch,
     predict_trajectory,
     save_model,
     train,
@@ -243,3 +244,79 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ModelFileError):
             load_model(path)
+
+
+def tree_from(nodes) -> DecisionTree:
+    """nodes: (feature, threshold, left, right) per node; leaves vote class 1."""
+    feature, threshold, left, right = (np.array(c) for c in zip(*nodes))
+    counts = np.zeros((len(nodes), 10), dtype=np.int64)
+    counts[feature == LEAF, 0] = 1
+    return DecisionTree(feature=feature.astype(np.int32), threshold=threshold.astype(float),
+                        left=left.astype(np.int32), right=right.astype(np.int32),
+                        class_counts=counts)
+
+
+class TestPreorderInvariant:
+    def test_stump_is_valid(self):
+        tree = tree_from([(0, 1.0, 1, 2), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)])
+        assert tree.n_nodes == 3
+
+    @pytest.mark.parametrize(
+        "nodes,match",
+        [
+            # backward left child: a walk from the root would never end
+            ([(0, 0.0, 0, 1), (LEAF, 0.0, 0, 0)], "node 0"),
+            ([(0, 0.0, 2, 1), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 0"),
+            ([(0, 0.0, 1, 3), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 0"),
+            ([(100, 0.0, 1, 2), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 0"),
+            ([(-2, 0.0, 1, 2), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 0"),
+            # node 2 is both node 1's left child and node 0's right child
+            ([(0, 0.0, 1, 2), (1, 0.0, 2, 3), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)],
+             "node 2"),
+            # node 1 is never reached
+            ([(LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 1"),
+        ],
+    )
+    def test_rejected(self, nodes, match):
+        with pytest.raises(ValueError, match=match):
+            tree_from(nodes)
+
+    def test_leaf_without_counts_rejected(self):
+        with pytest.raises(ValueError, match="node 0: leaf with no class counts"):
+            DecisionTree(feature=np.array([LEAF]), threshold=np.zeros(1),
+                         left=np.zeros(1, dtype=np.int32), right=np.zeros(1, dtype=np.int32),
+                         class_counts=np.zeros((1, 10), dtype=np.int64))
+
+
+class TestPredictBatch:
+    def test_equal_to_threshold_goes_left(self):
+        counts = np.zeros((3, 10), dtype=np.int64)
+        counts[1, 2] = counts[2, 7] = 1
+        stump = DecisionTree(feature=np.array([0, LEAF, LEAF], dtype=np.int32),
+                             threshold=np.array([1.5, 0.0, 0.0]),
+                             left=np.array([1, 0, 0], dtype=np.int32),
+                             right=np.array([2, 0, 0], dtype=np.int32),
+                             class_counts=counts)
+        model = ForestModel(trees=[stump], hyperparams=ForestHyperparams(n_estimators=1))
+        X = np.zeros((3, 100))
+        X[:, 0] = [1.5, np.nextafter(1.5, np.inf), -3.0]
+        classes, votes = predict_batch(model, X)
+        assert classes.tolist() == [3, 8, 3]
+        assert votes.sum(axis=1).tolist() == [1, 1, 1]
+
+    def test_empty_and_wrong_shape(self):
+        model = ForestModel(trees=[leaf_only_tree(4)], hyperparams=ForestHyperparams(n_estimators=1))
+        classes, votes = predict_batch(model, np.zeros((0, 100)))
+        assert classes.shape == (0,) and votes.shape == (0, 10)
+        with pytest.raises(ValueError):
+            predict_batch(model, np.zeros((2, 99)))
+
+    def test_wrappers_agree_with_batch(self):
+        ds = generate_dataset(SynthConfig(n_samples=100, snr_db=15.0, seed=9))
+        model = train(ds)
+        X = np.array([f.features() for f in ds.frames])
+        classes, votes = predict_batch(model, X)
+        assert [c.index for c in predict_trajectory(model, ds.frames)] == classes.tolist()
+        cls, v = predict(model, ds.frames[3])
+        assert cls.index == classes[3]
+        np.testing.assert_array_equal(v, votes[3])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from neurof0.arm import ActivationTrajectory, forward_dynamics
+from neurof0.arm import ActivationTrajectory, AngleTrajectory, derive_labels, forward_dynamics
 from neurof0.datagen import SynthConfig, generate_dataset, generate_movement, _clean_signal, _noisy_channels
 from neurof0.eeg import ActivationClass, EegRecording, window_frames
 from neurof0.errors import DataError, PipelineStageError
@@ -162,3 +162,15 @@ class TestEvaluateStatic:
             "classifier_accuracy", "activation_rmse", "angle_accuracy",
             "angle_rmse_deg", "f0_rmse_hz", "n_test",
         }
+
+
+def test_result_carries_truth(trained_model):
+    cfg = PipelineConfig()
+    rec, _classes = generate_movement(SynthConfig(n_samples=10, snr_db=20.0, seed=8), 60)
+    result = run_pipeline(cfg, rec, trained_model)
+    truth = AngleTrajectory(rec.kinematics)
+    assert result.true_activations == derive_labels(cfg.arm, truth)
+    np.testing.assert_array_equal(result.true_f0.values_hz,
+                                  map_trajectory(cfg.mapping, truth).values_hz)
+    bare = run_pipeline(cfg, EegRecording(samples=rec.samples), trained_model)
+    assert bare.true_activations is None and bare.true_f0 is None

@@ -1,0 +1,158 @@
+"""Property tests of the array-native decode path and its input boundaries."""
+
+import struct
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from helpers import forest_votes_reference, snap_to_class_angle_reference
+
+from neurof0.arm import ArmModel, equilibrium_angle
+from neurof0.datagen import SynthConfig, generate_dataset
+from neurof0.eeg import EegRecording, load_recording_csv, write_recording_csv
+from neurof0.errors import ModelFileError
+from neurof0.forest import LEAF, ForestHyperparams, load_model, predict_batch, save_model, train
+from neurof0.pipeline import _snap_to_class_angles
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@lru_cache(maxsize=None)
+def forest_at(snr_db: float):
+    ds = generate_dataset(SynthConfig(n_samples=200, snr_db=snr_db, seed=int(snr_db)))
+    return train(ds, ForestHyperparams(n_estimators=5))
+
+
+def split_values(model) -> list[float]:
+    return sorted({float(t.threshold[i]) for t in model.trees
+                   for i in range(t.n_nodes) if t.feature[i] != LEAF})
+
+
+def assert_matches_reference(model, X):
+    classes, votes = predict_batch(model, X)
+    assert votes.shape == (len(X), 10) and classes.shape == (len(X),)
+    for x, cls, v in zip(X, classes, votes):
+        ref = forest_votes_reference(model, x)
+        np.testing.assert_array_equal(v, ref)
+        assert cls == int(np.argmax(ref)) + 1
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 40.0])
+    @SETTINGS
+    @given(X=arrays(np.float64, st.tuples(st.integers(0, 30), st.just(100)),
+                    elements=st.floats(-60.0, 60.0)))
+    def test_matches_scalar_walk_on_random_rows(self, snr_db, X):
+        assert_matches_reference(forest_at(snr_db), X)
+
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 40.0])
+    @SETTINGS
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_walk_on_split_thresholds(self, snr_db, n, seed):
+        # every feature sits exactly on some split threshold, so many
+        # comparisons are equalities, which must send the row left
+        model = forest_at(snr_db)
+        X = np.random.default_rng(seed).choice(split_values(model), size=(n, 100))
+        assert_matches_reference(model, X)
+
+
+class TestSnapTable:
+    MODELS = [ArmModel(), ArmModel(max_muscle_force_n=200.0), ArmModel(angle_max_deg=60.0)]
+
+    @pytest.mark.parametrize("arm", MODELS)
+    def test_equilibria_and_their_neighbours(self, arm):
+        eq = np.array([equilibrium_angle(arm, k / 10.0) for k in range(1, 11)])
+        probes = np.concatenate([eq, np.nextafter(eq, -np.inf), np.nextafter(eq, np.inf),
+                                 0.5 * (eq[:-1] + eq[1:])])
+        got = _snap_to_class_angles(arm, probes)
+        assert got.tolist() == [snap_to_class_angle_reference(arm, float(t)) for t in probes]
+
+    def test_saturated_classes_tie_to_the_lowest(self):
+        # with a strong muscle classes 4..10 all rest at 90 degrees
+        arm = ArmModel(max_muscle_force_n=200.0)
+        assert _snap_to_class_angles(arm, np.array([90.0])).tolist() == [4]
+
+    @pytest.mark.parametrize("arm", MODELS)
+    @SETTINGS
+    @given(angles=st.lists(st.floats(0.0, 90.0), min_size=1, max_size=50))
+    def test_random_angles(self, arm, angles):
+        got = _snap_to_class_angles(arm, np.array(angles))
+        assert got.tolist() == [snap_to_class_angle_reference(arm, t) for t in angles]
+
+
+class TestCsvRoundTrip:
+    @SETTINGS
+    @given(steps=st.integers(1, 3), data=st.data())
+    @example(steps=1, data=None)
+    def test_bit_exact(self, steps, data):
+        if data is None:
+            special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                       1e308, -1e308, 1.7976931348623157e308, 0.1]
+            samples = np.resize(np.array(special), (10, 10))
+            kin = np.array([-0.0])
+        else:
+            samples = data.draw(arrays(np.float64, (10, 10 * steps), elements=FINITE))
+            kin = data.draw(arrays(np.float64, (steps,), elements=FINITE))
+        rec = EegRecording(samples=samples, kinematics=kin)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            write_recording_csv(rec, path)
+            back = load_recording_csv(path)
+        assert back.samples.view(np.uint64).tolist() == rec.samples.view(np.uint64).tolist()
+        assert back.kinematics.view(np.uint64).tolist() == rec.kinematics.view(np.uint64).tolist()
+
+
+@lru_cache(maxsize=None)
+def model_blob() -> bytes:
+    model = train(generate_dataset(SynthConfig(n_samples=60, snr_db=15.0, seed=14)),
+                  ForestHyperparams(n_estimators=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.nf0f"
+        save_model(model, path)
+        return path.read_bytes()
+
+
+def load_blob(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.nf0f"
+        path.write_bytes(blob)
+        return load_model(path)
+
+
+class TestModelFileFuzz:
+    @SETTINGS
+    @given(bits=st.lists(st.integers(0, 8 * len(model_blob()) - 1), min_size=1, max_size=3))
+    def test_bit_flips(self, bits):
+        blob = bytearray(model_blob())
+        for bit in bits:
+            blob[bit // 8] ^= 1 << (bit % 8)
+        try:
+            model = load_blob(bytes(blob))
+        except ModelFileError:
+            return
+        X = np.random.default_rng(0).normal(scale=30.0, size=(16, 100))
+        _classes, votes = predict_batch(model, X)
+        assert votes.sum(axis=1).tolist() == [len(model.trees)] * 16
+
+    @SETTINGS
+    @given(length=st.integers(0, len(model_blob()) - 1))
+    def test_truncations(self, length):
+        with pytest.raises(ModelFileError):
+            load_blob(model_blob()[:length])
+
+    def test_backward_child_is_rejected(self):
+        # node 0 internal with left = 0: a walk from the root would never end
+        blob = (b"NF0F" + struct.pack("<H", 1) + struct.pack("<IIIqII", 1, 1, 2, 42, 10, 1)
+                + struct.pack("<I", 2)
+                + struct.pack("<BIdII", 1, 0, 0.0, 0, 1)
+                + struct.pack("<B10I", 0, *[1] * 10))
+        with pytest.raises(ModelFileError, match="tree 0: node 0"):
+            load_blob(blob)
