@@ -12,6 +12,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .arm import (
     CONTROL_DT_S,
     ActivationTrajectory,
@@ -20,9 +22,16 @@ from .arm import (
     forward_dynamics,
 )
 from .datagen import SynthConfig, dataset_to_recording, generate_dataset, generate_movement
-from .eeg import LabeledDataset, load_recording_csv, split_dataset, window_frames, write_recording_csv
+from .eeg import (
+    ActivationClass,
+    check_kinematics_length,
+    load_recording_csv,
+    split_indices,
+    window_matrix,
+    write_recording_csv,
+)
 from .errors import DataError
-from .forest import load_model, predict_trajectory, save_model, train as train_forest
+from .forest import fit as train_forest, load_model, predict_batch, save_model
 from .pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -126,17 +135,17 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _load_labeled_dataset(path, cfg: PipelineConfig) -> LabeledDataset:
+def _load_labeled(path, cfg: PipelineConfig):
+    """(X, y, (train rows, test rows)): the recording's (n, 100) frame matrix,
+    the class index 1..10 of each frame and the configured split."""
     rec = load_recording_csv(path)
     if rec.kinematics is None:
         raise DataError(f"{path}: no angle_deg column; labels cannot be derived")
-    frames = window_frames(rec)
-    if len(rec.kinematics) != len(frames):
-        raise DataError(
-            f"{path}: {len(rec.kinematics)} kinematic values for {len(frames)} frames"
-        )
+    X = window_matrix(rec)
+    check_kinematics_length(rec, path)
     labels = derive_labels(cfg.arm, AngleTrajectory(rec.kinematics))
-    return LabeledDataset(frames=frames, labels=labels, metadata={"source": str(path)})
+    y = np.array([c.index for c in labels], dtype=np.int64)
+    return X, y, split_indices(len(y), cfg.train_fraction, cfg.split_seed)
 
 
 def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
@@ -164,13 +173,13 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     data = _data_path(args, cfg)
     if data is None:
         raise DataError("train needs --data (or paths.data in the config)")
-    ds = _load_labeled_dataset(data, cfg)
-    train_ds, test_ds = split_dataset(ds, cfg.train_fraction, cfg.split_seed)
-    model = train_forest(train_ds, cfg.forest)
+    X, y, (train, test) = _load_labeled(data, cfg)
+    X, y = X[train], y[train]  # drops the held-out rows before training
+    model = train_forest(X, y, cfg.forest)
     path = _model_path(args, cfg)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, path)
-    print(f"trained on {len(train_ds)} frames ({len(test_ds)} held out), wrote {path}")
+    print(f"trained on {len(train)} frames ({len(test)} held out), wrote {path}")
     return 0
 
 
@@ -178,11 +187,11 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     data = _data_path(args, cfg)
     if data is None:
         raise DataError("eval needs --data (or paths.data in the config)")
-    ds = _load_labeled_dataset(data, cfg)
-    _train_ds, test_ds = split_dataset(ds, cfg.train_fraction, cfg.split_seed)
+    X, y, (_train, test) = _load_labeled(data, cfg)
     model = load_model(_model_path(args, cfg))
-    pred = predict_trajectory(model, test_ds.frames)
-    report = evaluate_static(cfg, pred, list(test_ds.labels))
+    pred, _votes = predict_batch(model, X[test])
+    report = evaluate_static(cfg, [ActivationClass(k) for k in pred.tolist()],
+                             [ActivationClass(k) for k in y[test].tolist()])
     out = _out_dir(args)
     (out / "metrics.json").write_text(report.to_json())
     print(report.to_json(), end="")

@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -235,29 +235,38 @@ def _cell_value(cell: str, path, row_no: int, column: str) -> float:
     return value
 
 
+def check_kinematics_length(rec: EegRecording, where) -> None:
+    """Raise DataError unless rec's kinematics, if any, hold one angle per
+    whole 10-sample window; ``where`` names the recording, usually its file."""
+    n_frames = rec.n_samples // SAMPLES_PER_FRAME
+    if rec.kinematics is not None and len(rec.kinematics) != n_frames:
+        raise DataError(
+            f"{where}: {len(rec.kinematics)} kinematic values for {n_frames} "
+            f"frames of {SAMPLES_PER_FRAME} samples"
+        )
+
+
 def write_recording_csv(rec: EegRecording, path) -> None:
     """Write a recording in the format understood by load_recording_csv.
 
-    Kinematics, when present, must hold one angle per control step
-    (n_samples / 10 values); each is written on the first row of its
-    0.01 s window.
+    Kinematics, when present, must hold one angle per whole 0.01 s window
+    (see check_kinematics_length); each is written on the first row of its
+    window.
     """
+    check_kinematics_length(rec, path)
     kin = rec.kinematics
-    if kin is not None and len(kin) * SAMPLES_PER_FRAME != rec.n_samples:
-        raise DataError(
-            f"kinematics length {len(kin)} does not match "
-            f"{rec.n_samples} samples at one angle per {SAMPLES_PER_FRAME} rows"
-        )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = list(rec.channel_names)
         if kin is not None:
             header.append(ANGLE_COLUMN)
+            angle_rows = len(kin) * SAMPLES_PER_FRAME  # a trailing partial window has none
         writer.writerow(header)
         for t in range(rec.n_samples):
             row = [repr(float(v)) for v in rec.samples[:, t]]
             if kin is not None:
-                row.append(repr(float(kin[t // SAMPLES_PER_FRAME])) if t % SAMPLES_PER_FRAME == 0 else "")
+                row.append(repr(float(kin[t // SAMPLES_PER_FRAME]))
+                           if t % SAMPLES_PER_FRAME == 0 and t < angle_rows else "")
             writer.writerow(row)
 
 
@@ -303,31 +312,37 @@ def window_frames(rec: EegRecording, window_s: float = 0.01) -> list[EegFrame]:
     ]
 
 
-def split_dataset(
-    ds: LabeledDataset, train_fraction: float = 0.7, seed: int = 0
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Deterministic shuffled train/test split.
+def split_indices(n: int, train_fraction: float = 0.7,
+                  seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic shuffled train/test split of the row indices 0..n-1.
 
     The permutation comes from a Fisher-Yates shuffle driven by the
     splitmix64 stream seeded with ``seed`` (see rng module and README),
     so partitions are reproducible across implementations. Train size is
-    round(n * train_fraction), rounding half up.
+    round(n * train_fraction), rounding half up. Returns the train and
+    test indices, each in permutation order.
     """
-    if len(ds) == 0:
+    if n == 0:
         raise ValueError("cannot split an empty dataset")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    order = list(range(len(ds)))
+    order = list(range(n))
     SplitMix64(seed).shuffle(order)
-    n_train = int(np.floor(len(ds) * train_fraction + 0.5))
-    def take(indices: Iterable[int], tag: str) -> LabeledDataset:
-        idx = list(indices)
-        meta = dict(ds.metadata)
-        meta["split"] = tag
+    n_train = int(np.floor(n * train_fraction + 0.5))
+    order = np.array(order, dtype=np.intp)
+    return order[:n_train], order[n_train:]
+
+
+def split_dataset(
+    ds: LabeledDataset, train_fraction: float = 0.7, seed: int = 0
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """The split_indices partition of a dataset, as two datasets."""
+    def take(indices: np.ndarray, tag: str) -> LabeledDataset:
         return LabeledDataset(
-            frames=[ds.frames[i] for i in idx],
-            labels=[ds.labels[i] for i in idx],
+            frames=[ds.frames[i] for i in indices],
+            labels=[ds.labels[i] for i in indices],
             split_seed=seed,
-            metadata=meta,
+            metadata={**ds.metadata, "split": tag},
         )
-    return take(order[:n_train], "train"), take(order[n_train:], "test")
+    train_idx, test_idx = split_indices(len(ds), train_fraction, seed)
+    return take(train_idx, "train"), take(test_idx, "test")

@@ -133,48 +133,62 @@ class ForestModel:
             )
 
 
-def _best_split(X, y_onehot, idx, feats, min_leaf):
+# Upper bound on rows x candidate features that one batch of the split
+# search sorts together. A node small enough takes all its candidates in
+# one batch; a larger one takes fewer, down to one feature per batch, so
+# the transient (features, rows, classes) counts stay bounded whatever
+# max_features is.
+_ROW_BUDGET = 2048
+
+
+def _best_split(XT, y_onehot, idx, feats, min_leaf):
     """Lowest-Gini (feature, threshold) over the candidate features, or None.
 
-    Features are scanned in ascending index order and thresholds in
-    ascending value order; only strictly better impurity replaces the
-    incumbent, which fixes the tie-breaking.
+    XT is the feature-major (100, n_samples) matrix, y_onehot the int8
+    (n_samples, 10) class indicator, idx the node's rows and feats the
+    candidate features in ascending order. Within a batch the valid cuts
+    are taken feature by feature, each in ascending threshold order, so
+    the first minimum is at the lowest feature, then the lowest threshold;
+    a later batch replaces the incumbent only on strictly lower impurity.
+    A cut lies between two different sorted values, so the order a sort
+    gives equal values changes neither its class counts nor its midpoint:
+    the sort need not be stable.
     """
     n = len(idx)
+    # valid cuts c are lo <= c < hi: each side keeps at least min_leaf rows
+    # (max keeps hi >= lo, so a node too small for any cut slices nothing)
+    lo, hi = min_leaf - 1, max(n - min_leaf, min_leaf - 1)
+    feats = np.asarray(feats)
+    step = max(1, _ROW_BUDGET // n)
     best = None  # (weighted impurity, feature, threshold)
-    for f in feats:
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        left_counts = np.cumsum(y_onehot[idx[order]], axis=0)
-        total = left_counts[-1]
-        cut = np.nonzero(xs[:-1] < xs[1:])[0]  # split between cut and cut+1
+    for start in range(0, len(feats), step):
+        f = feats[start:start + step]
+        x = XT[f[:, None], idx]
+        xs = np.sort(x, axis=1)
+        left_counts = np.cumsum(y_onehot[idx[np.argsort(x, axis=1)]], axis=1, dtype=np.int32)
+        # cut c splits the sorted rows 0..c from c+1..n-1
+        row, cut = np.nonzero(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])
         if cut.size == 0:
             continue
-        n_left = cut + 1
-        keep = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-        cut = cut[keep]
-        if cut.size == 0:
-            continue
+        cut += lo
         n_left = (cut + 1).astype(float)
         n_right = n - n_left
-        lc = left_counts[cut]
-        rc = total - lc
+        lc = left_counts[row, cut]
+        rc = left_counts[0, -1] - lc  # every row ends at the node's class totals
         gini_l = 1.0 - np.sum((lc / n_left[:, None]) ** 2, axis=1)
         gini_r = 1.0 - np.sum((rc / n_right[:, None]) ** 2, axis=1)
         weighted = (n_left * gini_l + n_right * gini_r) / n
-        i = int(np.argmin(weighted))  # first minimum: lowest threshold
+        i = int(np.argmin(weighted))
         if best is None or weighted[i] < best[0]:
-            thr = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
-            best = (float(weighted[i]), f, thr)
+            thr = 0.5 * (xs[row[i], cut[i]] + xs[row[i], cut[i] + 1])
+            best = (float(weighted[i]), int(f[row[i]]), thr)
     return best
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, rng: SplitMix64) -> DecisionTree:
+def _grow_tree(XT: np.ndarray, y: np.ndarray, y_onehot: np.ndarray,
+               hp: ForestHyperparams, rng: SplitMix64) -> DecisionTree:
     n = len(y)
     boot = np.fromiter((rng.below(n) for _ in range(n)), dtype=np.int64, count=n)
-    y_onehot = np.zeros((n, N_CLASSES))
-    y_onehot[np.arange(n), y] = 1.0
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -204,45 +218,63 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams, rng: SplitMi
         for i in range(hp.max_features):
             j = i + rng.below(N_FEATURES - i)
             pool[i], pool[j] = pool[j], pool[i]
-        best = _best_split(X, y_onehot, idx, sorted(pool[:hp.max_features]),
+        best = _best_split(XT, y_onehot, idx, sorted(pool[:hp.max_features]),
                            hp.min_samples_leaf)
         drawn = hp.max_features
         while best is None and drawn < N_FEATURES:
             j = drawn + rng.below(N_FEATURES - drawn)
             pool[drawn], pool[j] = pool[j], pool[drawn]
-            best = _best_split(X, y_onehot, idx, [pool[drawn]], hp.min_samples_leaf)
+            best = _best_split(XT, y_onehot, idx, [pool[drawn]], hp.min_samples_leaf)
             drawn += 1
         if best is None:
             continue
         _, f, thr = best
         feature[node_id] = f
         threshold[node_id] = thr
-        mask = X[idx, f] <= thr
+        mask = XT[f, idx] <= thr
         # right pushed first so the left subtree is built (and numbered) first
         stack.append((idx[~mask], node_id, "right"))
         stack.append((idx[mask], node_id, "left"))
 
+    feature_arr = np.array(feature, dtype=np.int32)
+    class_counts = np.array(counts, dtype=np.int64)
+    class_counts[feature_arr != LEAF] = 0  # as the model file stores them
     return DecisionTree(
-        feature=np.array(feature, dtype=np.int32),
+        feature=feature_arr,
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
-        class_counts=np.array(counts, dtype=np.int64),
+        class_counts=class_counts,
     )
 
 
-def train(ds: LabeledDataset, hp: ForestHyperparams | None = None) -> ForestModel:
-    """Fit the forest; deterministic given (dataset order, hp.seed)."""
+def fit(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams | None = None) -> ForestModel:
+    """Fit the forest on an (n, 100) feature matrix and class indices 1..10.
+
+    Deterministic given (row order, hp.seed).
+    """
     if hp is None:
         hp = ForestHyperparams()
-    if len(ds) == 0:
+    y = np.asarray(y, dtype=np.int64) - 1
+    if len(y) == 0:
         raise ValueError("cannot train on an empty dataset")
-    X = np.array([f.features() for f in ds.frames])
-    y = np.array([lab.index - 1 for lab in ds.labels], dtype=np.int64)
+    if y.min() < 0 or y.max() >= N_CLASSES:
+        raise ValueError(f"class indices must be in 1..{N_CLASSES}")
+    X = np.asarray(X, dtype=float)
+    if X.shape != (len(y), N_FEATURES):
+        raise ValueError(f"feature matrix must be ({len(y)}, {N_FEATURES}), got {X.shape}")
+    XT = np.ascontiguousarray(X.T)
+    y_onehot = np.eye(N_CLASSES, dtype=np.int8)[y]
     seeder = SplitMix64(hp.seed)
     tree_seeds = [seeder.next_u64() for _ in range(hp.n_estimators)]
-    trees = [_grow_tree(X, y, hp, SplitMix64(s)) for s in tree_seeds]
+    trees = [_grow_tree(XT, y, y_onehot, hp, SplitMix64(s)) for s in tree_seeds]
     return ForestModel(trees=trees, hyperparams=hp)
+
+
+def train(ds: LabeledDataset, hp: ForestHyperparams | None = None) -> ForestModel:
+    """fit on the dataset's frames and labels, in dataset order."""
+    X = np.array([f.features() for f in ds.frames]).reshape(len(ds), N_FEATURES)
+    return fit(X, [lab.index for lab in ds.labels], hp)
 
 
 def predict_batch(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

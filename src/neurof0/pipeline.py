@@ -26,7 +26,7 @@ import numpy as np
 from . import arm as arm_mod
 from . import voice as voice_mod
 from .arm import ActivationTrajectory, AngleTrajectory, ArmModel, derive_labels, forward_dynamics
-from .eeg import ActivationClass, EegRecording, window_matrix
+from .eeg import ActivationClass, EegRecording, check_kinematics_length, window_matrix
 from .errors import DataError, PipelineStageError
 from .forest import ForestHyperparams, ForestModel, predict_batch
 from .metrics import MetricsReport, accuracy, rmse
@@ -132,11 +132,15 @@ class PipelineResult:
     true_f0: Optional[F0Trajectory] = None
 
 
+def _class_angles(model: ArmModel) -> np.ndarray:
+    """Equilibrium angle of each class 1..10, in class order."""
+    return np.array([arm_mod.equilibrium_angle(model, k / 10.0) for k in range(1, 11)])
+
+
 def _snap_to_class_angles(model: ArmModel, angles_deg: np.ndarray) -> np.ndarray:
     """Class index (1..10) of the nearest of the ten equilibrium angles to
     each angle, ties toward the lower class."""
-    eq = np.array([arm_mod.equilibrium_angle(model, k / 10.0) for k in range(1, 11)])
-    return np.argmin(np.abs(angles_deg[:, None] - eq), axis=1) + 1
+    return np.argmin(np.abs(angles_deg[:, None] - _class_angles(model)), axis=1) + 1
 
 
 @contextmanager
@@ -171,11 +175,8 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
 
     metrics = true_classes = true_f0 = None
     if rec.kinematics is not None:
+        check_kinematics_length(rec, "recording")
         true_angles = AngleTrajectory(rec.kinematics)
-        if len(true_angles) != len(X):
-            raise DataError(
-                f"kinematics length {len(true_angles)} does not match {len(X)} frames"
-            )
         true_classes = derive_labels(cfg.arm, true_angles)
         true_f0 = map_trajectory(cfg.mapping, true_angles)
         snap_pred = _snap_to_class_angles(cfg.arm, angles.angles_deg).tolist()
@@ -202,15 +203,15 @@ def evaluate_static(cfg: PipelineConfig, pred: list[ActivationClass],
     simulation is meaningless: angles are the static equilibrium angles of
     the predicted and true classes, and F0 their mapped values.
     """
-    pred_angles = [arm_mod.equilibrium_angle(cfg.arm, c.level) for c in pred]
-    true_angles = [arm_mod.equilibrium_angle(cfg.arm, c.level) for c in truth]
-    pred_f0 = [voice_mod.map_angle_to_f0(cfg.mapping, t) for t in pred_angles]
-    true_f0 = [voice_mod.map_angle_to_f0(cfg.mapping, t) for t in true_angles]
+    angles = _class_angles(cfg.arm)
+    f0 = np.array([voice_mod.map_angle_to_f0(cfg.mapping, t) for t in angles])
+    p_row = np.array([c.index - 1 for c in pred], dtype=np.intp)
+    t_row = np.array([c.index - 1 for c in truth], dtype=np.intp)
     return MetricsReport(
         classifier_accuracy=accuracy(pred, truth),
         activation_rmse=rmse([c.level for c in pred], [c.level for c in truth]),
-        angle_accuracy=accuracy(pred_angles, true_angles),
-        angle_rmse_deg=rmse(pred_angles, true_angles),
-        f0_rmse_hz=rmse(pred_f0, true_f0),
+        angle_accuracy=accuracy(angles[p_row], angles[t_row]),
+        angle_rmse_deg=rmse(angles[p_row], angles[t_row]),
+        f0_rmse_hz=rmse(f0[p_row], f0[t_row]),
         n_test=len(pred),
     )

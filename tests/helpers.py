@@ -121,3 +121,62 @@ def snap_to_class_angle_reference(model, theta_deg: float) -> int:
         if d < best_d:
             best_k, best_d = k, d
     return best_k
+
+
+def best_split_reference(X, y_onehot, idx, feats, min_leaf):
+    """The per-feature split search the batched one replaced, kept verbatim.
+
+    Lowest-Gini (feature, threshold) over the candidate features, or None.
+    Features are scanned in ascending index order and thresholds in
+    ascending value order; only strictly better impurity replaces the
+    incumbent, which fixes the tie-breaking.
+    """
+    n = len(idx)
+    best = None  # (weighted impurity, feature, threshold)
+    for f in feats:
+        x = X[idx, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        left_counts = np.cumsum(y_onehot[idx[order]], axis=0)
+        total = left_counts[-1]
+        cut = np.nonzero(xs[:-1] < xs[1:])[0]  # split between cut and cut+1
+        if cut.size == 0:
+            continue
+        n_left = cut + 1
+        keep = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+        cut = cut[keep]
+        if cut.size == 0:
+            continue
+        n_left = (cut + 1).astype(float)
+        n_right = n - n_left
+        lc = left_counts[cut]
+        rc = total - lc
+        gini_l = 1.0 - np.sum((lc / n_left[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((rc / n_right[:, None]) ** 2, axis=1)
+        weighted = (n_left * gini_l + n_right * gini_r) / n
+        i = int(np.argmin(weighted))  # first minimum: lowest threshold
+        if best is None or weighted[i] < best[0]:
+            thr = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
+            best = (float(weighted[i]), f, thr)
+    return best
+
+
+def evaluate_static_reference(cfg, pred, truth):
+    """The five static stage metrics computed frame by frame: each class's
+    equilibrium angle and its mapped F0, as evaluate_static once did."""
+    from neurof0.arm import equilibrium_angle
+    from neurof0.metrics import MetricsReport, accuracy, rmse
+    from neurof0.voice import map_angle_to_f0
+
+    pred_angles = [equilibrium_angle(cfg.arm, c.level) for c in pred]
+    true_angles = [equilibrium_angle(cfg.arm, c.level) for c in truth]
+    pred_f0 = [map_angle_to_f0(cfg.mapping, t) for t in pred_angles]
+    true_f0 = [map_angle_to_f0(cfg.mapping, t) for t in true_angles]
+    return MetricsReport(
+        classifier_accuracy=accuracy(pred, truth),
+        activation_rmse=rmse([c.level for c in pred], [c.level for c in truth]),
+        angle_accuracy=accuracy(pred_angles, true_angles),
+        angle_rmse_deg=rmse(pred_angles, true_angles),
+        f0_rmse_hz=rmse(pred_f0, true_f0),
+        n_test=len(pred),
+    )

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import parse_wav_header
 
+from neurof0 import eeg
 from neurof0.cli import cli_main
 from neurof0.eeg import load_recording_csv
 
@@ -97,6 +98,27 @@ class TestTrainEval:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["classifier_accuracy"] >= 0.95
         assert metrics["n_test"] == 60
+
+    def test_builds_no_frame_objects(self, tmp_path, dataset_csv, monkeypatch):
+        def no_frames(self):
+            raise AssertionError("EegFrame built")
+
+        monkeypatch.setattr(eeg.EegFrame, "__post_init__", no_frames)
+        out = tmp_path / "run"
+        for command in ("train", "eval"):
+            assert run("--out", str(out), command, "--data", str(dataset_csv)) == 0
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_kinematics_length_mismatch(self, tmp_path, command, capsys):
+        # 105 rows: ten whole windows and a partial one whose first row
+        # carries an eleventh angle, which no frame can be labeled with
+        path = tmp_path / "short.csv"
+        rows = [",".join(eeg.DEFAULT_CHANNELS) + ",angle_deg"]
+        rows += [",".join(["1.0"] * 10) + (",10.0" if r % 10 == 0 else ",")
+                 for r in range(105)]
+        path.write_text("\n".join(rows) + "\n")
+        assert run("--out", str(tmp_path / "run"), command, "--data", str(path)) == 2
+        assert f"{path}: 11 kinematic values for 10 frames" in capsys.readouterr().err
 
 
 class TestSimulate:

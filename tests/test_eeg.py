@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,20 @@ class TestCsv:
         rec = make_recording(60, kinematics=np.zeros(7))
         with pytest.raises(DataError):
             write_recording_csv(rec, tmp_path / "r.csv")
+
+    def test_write_names_the_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        with pytest.raises(DataError, match=re.escape(f"{path}: 7 kinematic values for 6 frames")):
+            write_recording_csv(make_recording(65, kinematics=np.zeros(7)), path)
+
+    def test_write_keeps_a_trailing_partial_window(self, tmp_path):
+        # one angle per whole window, as the loader and the pipeline count them
+        rec = make_recording(65, kinematics=np.linspace(0, 90, 6))
+        path = tmp_path / "r.csv"
+        write_recording_csv(rec, path)
+        back = load_recording_csv(path)
+        np.testing.assert_array_equal(back.samples, rec.samples)
+        np.testing.assert_array_equal(back.kinematics, rec.kinematics)
 
 
 class TestWindowing:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from neurof0.forest import (
     DecisionTree,
     ForestHyperparams,
     ForestModel,
+    fit,
     load_model,
     predict,
     predict_batch,
@@ -106,9 +109,44 @@ class TestTraining:
         pred = predict_trajectory(model, ds.frames)
         assert pred == list(ds.labels)
 
+    # SHA-256 of model.nf0f as the per-feature split search wrote it:
+    # ((frames, SNR dB, generator seed), hyperparameters, digest)
+    PINNED = [
+        ((300, 20.0, 11), {}, "ed86f0288d56302a0bd7f0871ce63493f17d86b0da7661232cb9ea73dafd82e6"),
+        ((300, 40.0, 12), {}, "ce3b4a1e25d8a016bf1ec4ae4d69086061f0fd716371c7e53ad241d963642a01"),
+        ((200, float("inf"), 13), {},
+         "e43cce649d592a5f384045104ea8d4084ab77563fb6e0d87cb0fd2a13d280ab7"),
+        ((300, 20.0, 14), {"min_samples_leaf": 3, "max_features": 7, "seed": 9},
+         "0a1f14ebb8c4357fcec1d2f81dd4c5a68fb0fa2004a2008040f7f35ef1e97898"),
+        ((150, 20.0, 15), {"max_features": 100},
+         "94503fdda6cdf156a56d32bc681b098aca63b9aaf5b5cbb9286fb3288581a648"),
+        ((250, 40.0, 16), {"min_samples_split": 5},
+         "7371388b3210ced27fc5f531046d7627cb27b84b86453621bcd55076d1ebbfab"),
+        ((800, 20.0, 17), {"n_estimators": 3},
+         "488fc9d178ad7117508a9ff17aa09248f1493c3b49c474ba4f97244524b16388"),
+    ]
+
+    @pytest.mark.parametrize("data, hp, digest", PINNED)
+    def test_model_bytes_pinned(self, tmp_path, data, hp, digest):
+        n, snr_db, seed = data
+        model = train(generate_dataset(SynthConfig(n_samples=n, snr_db=snr_db, seed=seed)),
+                      ForestHyperparams(**hp))
+        save_model(model, tmp_path / "m.nf0f")
+        assert hashlib.sha256((tmp_path / "m.nf0f").read_bytes()).hexdigest() == digest
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             train(LabeledDataset(frames=[], labels=[]))
+
+    @pytest.mark.parametrize("shape, labels, match", [
+        ((3, 100), [1, 0, 2], "class indices"),
+        ((3, 100), [1, 11, 2], "class indices"),
+        ((3, 99), [1, 2, 3], "feature matrix"),
+        ((2, 100), [1, 2, 3], "feature matrix"),
+    ])
+    def test_fit_rejects_bad_inputs(self, shape, labels, match):
+        with pytest.raises(ValueError, match=match):
+            fit(np.zeros(shape), labels)
 
     def test_tree_count_matches_estimators(self):
         ds = LabeledDataset(frames=[frame_with(1.0)], labels=[ActivationClass(2)])
@@ -190,6 +228,16 @@ class TestSerialization:
     def make_model(self):
         ds = generate_dataset(SynthConfig(n_samples=60, snr_db=15.0, seed=14))
         return train(ds)
+
+    def test_reload_equals_model_in_memory(self, tmp_path):
+        model = self.make_model()
+        path = tmp_path / "m.nf0f"
+        save_model(model, path)
+        loaded = load_model(path)
+        for tree, back in zip(model.trees, loaded.trees, strict=True):
+            for name in ("feature", "threshold", "left", "right", "class_counts"):
+                np.testing.assert_array_equal(getattr(tree, name), getattr(back, name))
+            assert not tree.class_counts[tree.feature != LEAF].any()
 
     def test_round_trip_predictions(self, tmp_path):
         model = self.make_model()

@@ -107,6 +107,12 @@ class TestRunPipeline:
         with pytest.raises(DataError):
             run_pipeline(PipelineConfig(), rec, trained_model)
 
+    def test_kinematics_length_message(self, trained_model):
+        rec_full, _ = generate_movement(SynthConfig(n_samples=10, seed=5), 30)
+        rec = EegRecording(samples=rec_full.samples[:, :295], kinematics=np.zeros(30))
+        with pytest.raises(DataError, match="recording: 30 kinematic values for 29 frames"):
+            run_pipeline(PipelineConfig(), rec, trained_model)
+
     def test_stage_errors_carry_stage_name(self, trained_model):
         too_short = EegRecording(samples=np.zeros((10, 5)))
         with pytest.raises(PipelineStageError, match="windowing"):

@@ -1,9 +1,10 @@
-"""Property tests of the array-native decode path and its input boundaries."""
+"""Property tests of the array-native paths, the split search and the input boundaries."""
 
 import struct
 import tempfile
 from functools import lru_cache
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,14 +12,20 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import forest_votes_reference, snap_to_class_angle_reference
+from helpers import (
+    best_split_reference,
+    evaluate_static_reference,
+    forest_votes_reference,
+    snap_to_class_angle_reference,
+)
 
+from neurof0 import forest
 from neurof0.arm import ArmModel, equilibrium_angle
 from neurof0.datagen import SynthConfig, generate_dataset
-from neurof0.eeg import EegRecording, load_recording_csv, write_recording_csv
+from neurof0.eeg import ActivationClass, EegRecording, load_recording_csv, write_recording_csv
 from neurof0.errors import ModelFileError
 from neurof0.forest import LEAF, ForestHyperparams, load_model, predict_batch, save_model, train
-from neurof0.pipeline import _snap_to_class_angles
+from neurof0.pipeline import PipelineConfig, _snap_to_class_angles, evaluate_static
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -62,6 +69,59 @@ class TestPredictBatch:
         model = forest_at(snr_db)
         X = np.random.default_rng(seed).choice(split_values(model), size=(n, 100))
         assert_matches_reference(model, X)
+
+
+def split_bits(best):
+    """A split search result with its floats as bit patterns, so -0.0 != 0.0."""
+    if best is None:
+        return None
+    impurity, feature, threshold = best
+    return (np.float64(impurity).tobytes(), int(feature), np.float64(threshold).tobytes())
+
+
+class TestBestSplit:
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_base=st.integers(1, 40),
+           n=st.integers(2, 320), n_classes=st.integers(1, 10),
+           n_values=st.integers(1, 12), k=st.integers(1, 100),
+           budget=st.sampled_from([1, 50, forest._ROW_BUDGET]), data=st.data())
+    @example(seed=0, n_base=40, n=320, n_classes=10, n_values=12, k=100,
+             budget=forest._ROW_BUDGET, data=None)
+    def test_matches_per_feature_search(self, seed, n_base, n, n_classes, n_values, k,
+                                        budget, data):
+        # a bootstrap-style node: n draws with replacement from n_base rows
+        # whose features come from a few values, -0.0 and 0.0 among them,
+        # so rows repeat and every feature has ties; smaller row budgets
+        # split the candidates over more batches
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([[-0.0, 0.0], np.round(rng.normal(scale=5.0, size=n_values), 1)])
+        X = rng.choice(values, size=(n_base, 100))
+        y = rng.integers(0, n_classes, size=n_base)
+        idx = rng.integers(0, n_base, size=n)
+        feats = np.sort(rng.choice(100, size=k, replace=False)).tolist()
+        min_leaf = 1 if data is None else data.draw(st.integers(1, max(1, n // 2)))
+        with patch.object(forest, "_ROW_BUDGET", budget):
+            got = forest._best_split(np.ascontiguousarray(X.T), np.eye(10, dtype=np.int8)[y],
+                                     idx, feats, min_leaf)
+        want = best_split_reference(X, np.eye(10)[y], idx, feats, min_leaf)
+        assert split_bits(got) == split_bits(want)
+
+
+class TestEvaluateStatic:
+    ARMS = [ArmModel(), ArmModel(max_muscle_force_n=200.0)]
+
+    @pytest.mark.parametrize("arm", ARMS)
+    @SETTINGS
+    @given(pairs=st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)),
+                          min_size=1, max_size=60))
+    def test_matches_per_frame_formulas(self, arm, pairs):
+        # with the strong muscle classes 4..10 share one angle, so angle
+        # accuracy differs from classifier accuracy
+        cfg = PipelineConfig(arm=arm)
+        pred = [ActivationClass(p) for p, _t in pairs]
+        truth = [ActivationClass(t) for _p, t in pairs]
+        assert (evaluate_static(cfg, pred, truth).to_json()
+                == evaluate_static_reference(cfg, pred, truth).to_json())
 
 
 class TestSnapTable:
