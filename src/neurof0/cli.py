@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data or model error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -26,8 +25,10 @@ from .eeg import (
     ActivationClass,
     check_kinematics_length,
     load_recording_csv,
+    read_column,
     split_indices,
     window_matrix,
+    write_columns,
     write_recording_csv,
 )
 from .errors import DataError
@@ -56,7 +57,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="nf0", description="EEG to pitch decoding pipeline")
     parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
     parser.add_argument("--seed", type=int, help="override the split/generator seed")
-    parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    parser.add_argument("--out", metavar="DIR",
+                        help="output directory (default: paths.out_dir, else out)")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset or movement CSV")
@@ -102,37 +104,28 @@ def _load_cfg(args) -> PipelineConfig:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _path(flag, configured, default=None):
+    """The rule for every path: the flag if given, else the config's
+    paths.* entry, else the default (None if there is none)."""
+    value = flag or configured or default
+    return None if value is None else Path(value)
+
+
+def _out_dir(args, cfg: PipelineConfig) -> Path:
+    out = _path(args.out, cfg.out_dir, "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _model_path(args, cfg: PipelineConfig) -> Path:
-    if getattr(args, "model", None):
-        return Path(args.model)
-    if cfg.model_path:
-        return Path(cfg.model_path)
-    return _out_dir(args) / DEFAULT_MODEL_NAME
+    return _path(args.model, cfg.model_path) or _out_dir(args, cfg) / DEFAULT_MODEL_NAME
 
 
-def _data_path(args, cfg: PipelineConfig):
-    if getattr(args, "data", None):
-        return Path(args.data)
-    if cfg.data_path:
-        return Path(cfg.data_path)
-    return None
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
+def _data_path(args, cfg: PipelineConfig) -> Path:
+    data = _path(args.data, cfg.data_path)
+    if data is None:
+        raise DataError(f"{args.command} needs --data (or paths.data in the config)")
+    return data
 
 
 def _load_labeled(path, cfg: PipelineConfig):
@@ -149,13 +142,12 @@ def _load_labeled(path, cfg: PipelineConfig):
 
 
 def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.split_seed
     synth_cfg = SynthConfig(
         n_samples=max(args.n, 10) if args.movement_steps else args.n,
-        snr_db=args.snr_db, seed=seed,
+        snr_db=args.snr_db, seed=cfg.split_seed,
         carrier_hz=args.carrier_hz, amp_per_class=args.amp_per_class,
     )
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     if args.movement_steps:
         rec, _classes = generate_movement(synth_cfg, args.movement_steps, model=cfg.arm)
         path = out / "movement.csv"
@@ -170,10 +162,7 @@ def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> int:
-    data = _data_path(args, cfg)
-    if data is None:
-        raise DataError("train needs --data (or paths.data in the config)")
-    X, y, (train, test) = _load_labeled(data, cfg)
+    X, y, (train, test) = _load_labeled(_data_path(args, cfg), cfg)
     X, y = X[train], y[train]  # drops the held-out rows before training
     model = train_forest(X, y, cfg.forest)
     path = _model_path(args, cfg)
@@ -184,106 +173,70 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
-    data = _data_path(args, cfg)
-    if data is None:
-        raise DataError("eval needs --data (or paths.data in the config)")
-    X, y, (_train, test) = _load_labeled(data, cfg)
+    X, y, (_train, test) = _load_labeled(_data_path(args, cfg), cfg)
     model = load_model(_model_path(args, cfg))
     pred, _votes = predict_batch(model, X[test])
     report = evaluate_static(cfg, [ActivationClass(k) for k in pred.tolist()],
                              [ActivationClass(k) for k in y[test].tolist()])
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     (out / "metrics.json").write_text(report.to_json())
     print(report.to_json(), end="")
     print(f"wrote {out / 'metrics.json'}")
     return 0
 
 
+def _step_times(n: int) -> np.ndarray:
+    """Start time in seconds of each of n control steps."""
+    return np.arange(n) * CONTROL_DT_S
+
+
 def _cmd_simulate(args, cfg: PipelineConfig) -> int:
     if args.activations:
-        levels = _read_column(args.activations, "activation")
+        levels = read_column(args.activations, "activation")
     elif args.constant is not None:
         levels = [args.constant] * args.steps
     else:
         raise DataError("simulate needs --activations or --constant")
     act = ActivationTrajectory(levels=levels)
     angles = forward_dynamics(cfg.arm, act, theta0_deg=args.theta0)
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     path = out / "trajectory.csv"
-    rows = [
-        [_fmt(i * CONTROL_DT_S), _fmt(a), _fmt(t)]
-        for i, (a, t) in enumerate(zip(act.levels, angles.angles_deg))
-    ]
-    _write_csv(path, ["t_s", "activation", "angle_deg"], rows)
-    print(f"wrote {path} ({len(rows)} steps, final angle {angles.angles_deg[-1]:.3f} deg)")
+    write_columns(path, ["t_s", "activation", "angle_deg"],
+                  [_step_times(len(act)), act.levels, angles.angles_deg])
+    print(f"wrote {path} ({len(act)} steps, final angle {angles.angles_deg[-1]:.3f} deg)")
     return 0
 
 
-def _read_column(path, column: str) -> list[float]:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file")
-        if column not in header:
-            raise DataError(f"{path}: no {column!r} column")
-        col = header.index(column)
-        values = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-            try:
-                values.append(float(row[col]))
-            except ValueError:
-                raise DataError(f"{path}: non-numeric cell on row {row_no}") from None
-    if not values:
-        raise DataError(f"{path}: no data rows")
-    return values
-
-
-def _write_stage_csvs(out: Path, result: PipelineResult, rec) -> None:
-    have_truth = result.true_activations is not None
-    angle_header = ["t_s", "activation", "angle_deg"]
-    f0_header = ["t_s", "f0_hz"]
-    if have_truth:
-        angle_header += ["true_activation", "true_angle_deg"]
-        f0_header.append("true_f0_hz")
-
-    angle_rows = []
-    f0_rows = []
-    for i in range(len(result.activations)):
-        t = _fmt(i * CONTROL_DT_S)
-        arow = [t, _fmt(result.activations[i].level), _fmt(result.angles.angles_deg[i])]
-        frow = [t, _fmt(result.f0.values_hz[i])]
-        if have_truth:
-            arow += [_fmt(result.true_activations[i].level), _fmt(rec.kinematics[i])]
-            frow.append(_fmt(result.true_f0.values_hz[i]))
-        angle_rows.append(arow)
-        f0_rows.append(frow)
-    _write_csv(out / "angles.csv", angle_header, angle_rows)
-    _write_csv(out / "f0.csv", f0_header, f0_rows)
+def _decode(args, cfg: PipelineConfig, rec) -> tuple[Path, PipelineResult]:
+    """run_pipeline with the model the flags name; writes angles.csv and
+    f0.csv to the output directory and returns it with the result."""
+    result = run_pipeline(cfg, rec, load_model(_model_path(args, cfg)))
+    t = _step_times(len(result.activations))
+    angles = {"t_s": t, "activation": [c.level for c in result.activations],
+              "angle_deg": result.angles.angles_deg}
+    f0 = {"t_s": t, "f0_hz": result.f0.values_hz}
+    if result.true_activations is not None:
+        angles["true_activation"] = [c.level for c in result.true_activations]
+        angles["true_angle_deg"] = rec.kinematics
+        f0["true_f0_hz"] = result.true_f0.values_hz
+    out = _out_dir(args, cfg)
+    write_columns(out / "angles.csv", list(angles), list(angles.values()))
+    write_columns(out / "f0.csv", list(f0), list(f0.values()))
+    return out, result
 
 
 def _cmd_decode(args, cfg: PipelineConfig) -> int:
-    data = _data_path(args, cfg)
-    if data is None:
-        raise DataError("decode needs --data (or paths.data in the config)")
-    rec = load_recording_csv(data)
-    model = load_model(_model_path(args, cfg))
-    result = run_pipeline(cfg, rec, model)
-    out = _out_dir(args)
-    _write_stage_csvs(out, result, rec)
+    out, result = _decode(args, cfg, load_recording_csv(_data_path(args, cfg)))
     print(f"wrote {out / 'angles.csv'} and {out / 'f0.csv'} ({len(result.activations)} steps)")
     return 0
 
 
 def _cmd_synth(args, cfg: PipelineConfig) -> int:
-    values = _read_column(args.f0, "f0_hz")
+    values = read_column(args.f0, "f0_hz")
     audio = synthesize(F0Trajectory(values_hz=values),
                        sample_rate_hz=cfg.synth_sample_rate_hz,
                        amplitude=cfg.synth_amplitude)
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     path = out / "out.wav"
     write_wav(audio, path)
     print(f"wrote {path} ({len(audio)} samples at {audio.sample_rate_hz} Hz)")
@@ -291,16 +244,13 @@ def _cmd_synth(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
-    data = _data_path(args, cfg)
+    data = _path(args.data, cfg.data_path)
     if data is not None:
         rec = load_recording_csv(data)
     else:
         # self-contained demo: deterministic synthetic movement from the seed
         rec, _classes = generate_movement(SynthConfig(seed=cfg.split_seed), 500, model=cfg.arm)
-    model = load_model(_model_path(args, cfg))
-    result = run_pipeline(cfg, rec, model)
-    out = _out_dir(args)
-    _write_stage_csvs(out, result, rec)
+    out, result = _decode(args, cfg, rec)
     write_wav(result.audio, out / "out.wav")
     if result.metrics is not None:
         (out / "metrics.json").write_text(result.metrics.to_json())

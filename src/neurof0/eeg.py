@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Optional, Sequence
@@ -152,6 +153,26 @@ class LabeledDataset:
         return len(self.frames)
 
 
+def _csv_rows(path):
+    """Yield a CSV file's stripped header row, then (row number, cells) for
+    each data row, numbered from 2 as in an editor. An empty file, or a row
+    with other than one cell per header column, raises DataError. Callers
+    close the generator, which closes the file."""
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        header = [h.strip() for h in header]
+        yield header
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                )
+            yield row_no, row
+
+
 def load_recording_csv(path) -> EegRecording:
     """Read a recording from CSV.
 
@@ -165,13 +186,8 @@ def load_recording_csv(path) -> EegRecording:
     a non-numeric or non-finite cell, or an angle off a window's first
     row. A missing file raises FileNotFoundError.
     """
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
+    with closing(_csv_rows(path)) as rows:
+        header = next(rows)
         angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
         channel_names = [h for i, h in enumerate(header) if i != angle_col]
         if len(channel_names) != N_CHANNELS:
@@ -183,11 +199,7 @@ def load_recording_csv(path) -> EegRecording:
         last = [0, []]  # row number and signal cells of the row being converted
 
         def signal_rows():
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                    )
+            for row_no, row in rows:
                 if angle_col is not None:
                     cell = row.pop(angle_col).strip()
                     if cell:
@@ -212,12 +224,9 @@ def load_recording_csv(path) -> EegRecording:
             raise
 
     bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
+    if bad.size:  # _cell_value raises, naming the first bad cell
         row, col = divmod(int(bad[0]), N_CHANNELS)
-        raise DataError(
-            f"{path}: non-finite value {float(flat[bad[0]])!r} on row {row + 2}, "
-            f"column {channel_names[col]}"
-        )
+        _cell_value(repr(float(flat[bad[0]])), path, row + 2, channel_names[col])
     samples = flat.reshape(-1, N_CHANNELS).T
     kinematics = np.array(angles, dtype=float) if angles else None
     return EegRecording(samples=samples, channel_names=channel_names, kinematics=kinematics)
@@ -233,6 +242,43 @@ def _cell_value(cell: str, path, row_no: int, column: str) -> float:
     if not math.isfinite(value):
         raise DataError(f"{path}: non-finite value {cell!r} on row {row_no}, column {column}")
     return value
+
+
+def read_column(path, column: str) -> np.ndarray:
+    """One named column of a CSV file with a header row, such as f0_hz of
+    an f0.csv. Raises DataError on a missing column, no data rows, or,
+    naming row and column, a ragged row or a non-numeric or non-finite cell."""
+    with closing(_csv_rows(path)) as rows:
+        header = next(rows)
+        if column not in header:
+            raise DataError(f"{path}: no {column!r} column")
+        col = header.index(column)
+        values = [_cell_value(row[col], path, row_no, column) for row_no, row in rows]
+    if not values:
+        raise DataError(f"{path}: no data rows")
+    return np.array(values)
+
+
+# Rows that write_columns turns into Python floats at a time, so that the
+# memory a write holds stays small however long the columns are.
+_WRITE_ROWS = 1024
+
+
+def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns under a header row, LF line endings.
+
+    Values are written as repr(float), which float() reads back bit for
+    bit. A list column is written as is (Python floats, None for an empty
+    cell); any other column, such as an array, is converted to floats.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, len(columns[0]), _WRITE_ROWS):
+            block = [c[start:start + _WRITE_ROWS] for c in columns]
+            block = [c if isinstance(c, list) else np.asarray(c, dtype=float).tolist()
+                     for c in block]
+            writer.writerows(zip(*block))
 
 
 def check_kinematics_length(rec: EegRecording, where) -> None:
@@ -254,20 +300,14 @@ def write_recording_csv(rec: EegRecording, path) -> None:
     window.
     """
     check_kinematics_length(rec, path)
-    kin = rec.kinematics
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(rec.channel_names)
-        if kin is not None:
-            header.append(ANGLE_COLUMN)
-            angle_rows = len(kin) * SAMPLES_PER_FRAME  # a trailing partial window has none
-        writer.writerow(header)
-        for t in range(rec.n_samples):
-            row = [repr(float(v)) for v in rec.samples[:, t]]
-            if kin is not None:
-                row.append(repr(float(kin[t // SAMPLES_PER_FRAME]))
-                           if t % SAMPLES_PER_FRAME == 0 and t < angle_rows else "")
-            writer.writerow(row)
+    header, columns = list(rec.channel_names), list(rec.samples)
+    if rec.kinematics is not None:
+        kin = rec.kinematics.tolist()
+        angles = [None] * rec.n_samples  # a trailing partial window has none
+        angles[:len(kin) * SAMPLES_PER_FRAME:SAMPLES_PER_FRAME] = kin
+        header.append(ANGLE_COLUMN)
+        columns.append(angles)
+    write_columns(path, header, columns)
 
 
 def window_matrix(rec: EegRecording, window_s: float = 0.01) -> np.ndarray:

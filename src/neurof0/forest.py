@@ -37,6 +37,8 @@ N_FEATURES = 100
 N_CLASSES = 10
 LEAF = -1
 
+_U32_MAX = 2**32 - 1
+
 MAGIC = b"NF0F"
 FORMAT_VERSION = 1
 
@@ -50,14 +52,15 @@ class ForestHyperparams:
     max_features: int = 10  # floor(sqrt(100))
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be at least 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be at least 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be at least 2")
+        # the .nf0f header stores the counts as u32 and the seed as i64
+        for name, low in (("n_estimators", 1), ("min_samples_leaf", 1),
+                          ("min_samples_split", 2)):
+            if not low <= getattr(self, name) <= _U32_MAX:
+                raise ValueError(f"{name} must be in {low}..{_U32_MAX}")
         if not 1 <= self.max_features <= N_FEATURES:
             raise ValueError(f"max_features must be in 1..{N_FEATURES}")
+        if not -2**63 <= self.seed < 2**63:
+            raise ValueError("seed must fit in a signed 64-bit integer")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,14 +56,7 @@ class MetricsReport:
             raise ValueError("n_test must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "classifier_accuracy": self.classifier_accuracy,
-            "activation_rmse": self.activation_rmse,
-            "angle_accuracy": self.angle_accuracy,
-            "angle_rmse_deg": self.angle_rmse_deg,
-            "f0_rmse_hz": self.f0_rmse_hz,
-            "n_test": self.n_test,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from . import arm as arm_mod
-from . import voice as voice_mod
 from .arm import ActivationTrajectory, AngleTrajectory, ArmModel, derive_labels, forward_dynamics
 from .eeg import ActivationClass, EegRecording, check_kinematics_length, window_matrix
 from .errors import DataError, PipelineStageError
@@ -57,55 +57,63 @@ class PipelineConfig:
             raise ValueError("synth_sample_rate_hz must be at least 100")
 
 
-def _build_section(cls, data: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+# sections that fill one dataclass each, and sections whose keys fill
+# PipelineConfig fields directly (JSON key -> field)
+_CLASS_SECTIONS = {"arm": ArmModel, "mapping": F0Mapping, "forest": ForestHyperparams}
+_FLAT_SECTIONS = {
+    "split": {"train_fraction": "train_fraction", "seed": "split_seed"},
+    "synth": {"sample_rate_hz": "synth_sample_rate_hz", "amplitude": "synth_amplitude"},
+    "paths": {"model": "model_path", "data": "data_path", "out_dir": "out_dir"},
+}
+
+# field type -> (test of a JSON value, what the test accepts)
+_JSON_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+            "a finite number"),
+    Optional[str]: (lambda v: v is None or type(v) is str, "a string or null"),
+}
+
+
+def _reject_unknown(data: dict, known, where: str) -> None:
+    unknown = set(data) - set(known)
     if unknown:
-        raise DataError(f"unknown key(s) {sorted(unknown)} in config section {where!r}")
+        raise DataError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _section(raw: dict, name: str, cls, keys: Optional[dict] = None) -> dict:
+    """Config section ``name`` as keyword arguments for ``cls``; ``keys``
+    maps each JSON key to the field it fills (default: the field of that
+    name), whose type fixes the JSON values it takes."""
+    types = get_type_hints(cls)
+    keys = keys or {f.name: f.name for f in dataclasses.fields(cls)}
+    data = raw.get(name, {})
+    if not isinstance(data, dict):
+        raise DataError(f"config section {name!r} must be a JSON object, got {data!r}")
+    _reject_unknown(data, keys, f"config section {name!r}")
+    for key, value in data.items():
+        accepts, what = _JSON_TYPES[types[keys[key]]]
+        if not accepts(value):
+            raise DataError(f"config key {key!r} in section {name!r} must be {what}, got {value!r}")
+    return {keys[key]: value for key, value in data.items()}
+
+
+def _build(cls, where: str, kwargs: dict):
     try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid config section {where!r}: {exc}") from None
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise DataError(f"invalid {where}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    """Parse the JSON-level config dict; unknown keys anywhere are rejected."""
-    known = {"arm", "mapping", "forest", "split", "synth", "paths"}
-    unknown = set(raw) - known
-    if unknown:
-        raise DataError(f"unknown top-level config key(s) {sorted(unknown)}")
-    arm_cfg = _build_section(ArmModel, raw.get("arm", {}), "arm")
-    map_cfg = _build_section(F0Mapping, raw.get("mapping", {}), "mapping")
-    forest_cfg = _build_section(ForestHyperparams, raw.get("forest", {}), "forest")
-
-    split = dict(raw.get("split", {}))
-    unknown = set(split) - {"train_fraction", "seed"}
-    if unknown:
-        raise DataError(f"unknown key(s) {sorted(unknown)} in config section 'split'")
-    synth = dict(raw.get("synth", {}))
-    unknown = set(synth) - {"sample_rate_hz", "amplitude"}
-    if unknown:
-        raise DataError(f"unknown key(s) {sorted(unknown)} in config section 'synth'")
-    paths = dict(raw.get("paths", {}))
-    unknown = set(paths) - {"model", "data", "out_dir"}
-    if unknown:
-        raise DataError(f"unknown key(s) {sorted(unknown)} in config section 'paths'")
-
-    try:
-        return PipelineConfig(
-            arm=arm_cfg,
-            mapping=map_cfg,
-            forest=forest_cfg,
-            train_fraction=float(split.get("train_fraction", 0.7)),
-            split_seed=int(split.get("seed", 0)),
-            synth_sample_rate_hz=int(synth.get("sample_rate_hz", 44100)),
-            synth_amplitude=float(synth.get("amplitude", 0.8)),
-            model_path=paths.get("model"),
-            data_path=paths.get("data"),
-            out_dir=paths.get("out_dir"),
-        )
-    except ValueError as exc:
-        raise DataError(f"invalid config: {exc}") from None
+    """Parse the JSON-level config dict; unknown keys anywhere and values
+    of the wrong JSON type are rejected."""
+    _reject_unknown(raw, [*_CLASS_SECTIONS, *_FLAT_SECTIONS], "the config")
+    kwargs = {name: _build(cls, f"config section {name!r}", _section(raw, name, cls))
+              for name, cls in _CLASS_SECTIONS.items()}
+    for name, keys in _FLAT_SECTIONS.items():
+        kwargs.update(_section(raw, name, PipelineConfig, keys))
+    return _build(PipelineConfig, "config", kwargs)
 
 
 def load_config(path) -> PipelineConfig:
@@ -143,6 +151,25 @@ def _snap_to_class_angles(model: ArmModel, angles_deg: np.ndarray) -> np.ndarray
     return np.argmin(np.abs(angles_deg[:, None] - _class_angles(model)), axis=1) + 1
 
 
+def _score(cfg: PipelineConfig, pred: np.ndarray, truth: np.ndarray,
+           pred_deg: np.ndarray, true_deg: np.ndarray) -> MetricsReport:
+    """Stage metrics of predicted against true class indices (1..10) and
+    elbow angles, one per frame. Angle accuracy compares the classes the
+    angles snap to, which for equilibrium angles equals comparing the
+    angles; F0 is each angle's mapped pitch."""
+    pred_f0, true_f0 = (map_trajectory(cfg.mapping, AngleTrajectory(a)).values_hz
+                        for a in (pred_deg, true_deg))
+    return MetricsReport(
+        classifier_accuracy=accuracy(pred.tolist(), truth.tolist()),
+        activation_rmse=rmse(pred / 10.0, truth / 10.0),
+        angle_accuracy=accuracy(_snap_to_class_angles(cfg.arm, pred_deg).tolist(),
+                                _snap_to_class_angles(cfg.arm, true_deg).tolist()),
+        angle_rmse_deg=rmse(pred_deg, true_deg),
+        f0_rmse_hz=rmse(pred_f0, true_f0),
+        n_test=len(pred),
+    )
+
+
 @contextmanager
 def _stage(name: str):
     try:
@@ -164,7 +191,8 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
     with _stage("windowing"):
         X = window_matrix(rec)
     with _stage("classification"):
-        pred_classes = [ActivationClass(k) for k in predict_batch(model, X)[0].tolist()]
+        pred = predict_batch(model, X)[0]
+        pred_classes = [ActivationClass(k) for k in pred.tolist()]
     with _stage("dynamics"):
         angles = forward_dynamics(cfg.arm, ActivationTrajectory.from_classes(pred_classes))
     with _stage("pitch mapping"):
@@ -179,17 +207,8 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
         true_angles = AngleTrajectory(rec.kinematics)
         true_classes = derive_labels(cfg.arm, true_angles)
         true_f0 = map_trajectory(cfg.mapping, true_angles)
-        snap_pred = _snap_to_class_angles(cfg.arm, angles.angles_deg).tolist()
-        snap_true = _snap_to_class_angles(cfg.arm, true_angles.angles_deg).tolist()
-        metrics = MetricsReport(
-            classifier_accuracy=accuracy(pred_classes, true_classes),
-            activation_rmse=rmse([c.level for c in pred_classes],
-                                 [c.level for c in true_classes]),
-            angle_accuracy=accuracy(snap_pred, snap_true),
-            angle_rmse_deg=rmse(angles.angles_deg, true_angles.angles_deg),
-            f0_rmse_hz=rmse(f0.values_hz, true_f0.values_hz),
-            n_test=len(X),
-        )
+        metrics = _score(cfg, pred, np.array([c.index for c in true_classes]),
+                         angles.angles_deg, true_angles.angles_deg)
     return PipelineResult(activations=pred_classes, angles=angles, f0=f0,
                           audio=audio, metrics=metrics,
                           true_activations=true_classes, true_f0=true_f0)
@@ -204,14 +223,6 @@ def evaluate_static(cfg: PipelineConfig, pred: list[ActivationClass],
     the predicted and true classes, and F0 their mapped values.
     """
     angles = _class_angles(cfg.arm)
-    f0 = np.array([voice_mod.map_angle_to_f0(cfg.mapping, t) for t in angles])
-    p_row = np.array([c.index - 1 for c in pred], dtype=np.intp)
-    t_row = np.array([c.index - 1 for c in truth], dtype=np.intp)
-    return MetricsReport(
-        classifier_accuracy=accuracy(pred, truth),
-        activation_rmse=rmse([c.level for c in pred], [c.level for c in truth]),
-        angle_accuracy=accuracy(angles[p_row], angles[t_row]),
-        angle_rmse_deg=rmse(angles[p_row], angles[t_row]),
-        f0_rmse_hz=rmse(f0[p_row], f0[t_row]),
-        n_test=len(pred),
-    )
+    p = np.array([c.index for c in pred], dtype=np.intp)
+    t = np.array([c.index for c in truth], dtype=np.intp)
+    return _score(cfg, p, t, angles[p - 1], angles[t - 1])

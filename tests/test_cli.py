@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import parse_wav_header
 
+import neurof0
 from neurof0 import eeg
 from neurof0.cli import cli_main
 from neurof0.eeg import load_recording_csv
@@ -67,6 +72,33 @@ class TestDataErrors:
 
     def test_train_without_data(self, tmp_path):
         assert run("--out", str(tmp_path), "train") == 2
+
+    @pytest.mark.parametrize("command", ["train", "eval", "decode"])
+    def test_data_required(self, tmp_path, command, capsys):
+        assert run("--out", str(tmp_path), command) == 2
+        assert f"{command} needs --data (or paths.data in the config)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [
+        {"split": {"seed": None}},
+        {"split": 5},
+        {"synth": {"amplitude": [1]}},
+        {"paths": {"model": 5}},
+        {"forest": {"seed": 1.5}},
+        {"forest": {"n_estimators": 2.5}},
+        {"forest": {"seed": 18446744073709551615}},
+    ])
+    def test_bad_config_value_exits_2_without_traceback(self, tmp_path, dataset_csv, raw):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        env = {**os.environ, "PYTHONPATH": str(Path(neurof0.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurof0", "--config", str(cfg), "--out", str(tmp_path),
+             "train", "--data", str(dataset_csv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("nf0: error: ")
 
 
 class TestGenData:
@@ -143,6 +175,40 @@ class TestSimulate:
     def test_needs_input(self, tmp_path):
         assert run("--out", str(tmp_path), "simulate") == 2
 
+    def test_non_finite_activation_named(self, tmp_path, capsys):
+        src = tmp_path / "act.csv"
+        src.write_text("t_s,activation\n0.0,0.3\n0.01,inf\n")
+        assert run("--out", str(tmp_path), "simulate", "--activations", str(src)) == 2
+        assert "non-finite value 'inf' on row 3, column activation" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    def write_config(self, tmp_path, **paths):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"paths": {k: str(v) for k, v in paths.items()}}))
+        return str(cfg)
+
+    def test_config_out_dir_used(self, tmp_path, dataset_csv):
+        cfg = self.write_config(tmp_path, out_dir=tmp_path / "cfg_out")
+        assert run("--config", cfg, "simulate", "--constant", "0.5", "--steps", "20") == 0
+        assert (tmp_path / "cfg_out" / "trajectory.csv").exists()
+        # the default model path follows the configured output directory
+        assert run("--config", cfg, "train", "--data", str(dataset_csv)) == 0
+        assert (tmp_path / "cfg_out" / "model.nf0f").exists()
+
+    def test_out_flag_wins(self, tmp_path):
+        cfg = self.write_config(tmp_path, out_dir=tmp_path / "cfg_out")
+        assert run("--config", cfg, "--out", str(tmp_path / "flag_out"),
+                   "simulate", "--constant", "0.5", "--steps", "20") == 0
+        assert (tmp_path / "flag_out" / "trajectory.csv").exists()
+        assert not (tmp_path / "cfg_out").exists()
+
+    def test_model_flag_wins(self, tmp_path, dataset_csv):
+        cfg = self.write_config(tmp_path, model=tmp_path / "cfg.nf0f", data=dataset_csv)
+        assert run("--config", cfg, "--out", str(tmp_path / "run"), "train",
+                   "--model", str(tmp_path / "flag.nf0f")) == 0
+        assert (tmp_path / "flag.nf0f").exists() and not (tmp_path / "cfg.nf0f").exists()
+
 
 class TestDecodeSynthPipeline:
     @pytest.fixture()
@@ -160,6 +226,13 @@ class TestDecodeSynthPipeline:
         assert len(angles) == 151
         f0 = (out / "f0.csv").read_text().splitlines()
         assert f0[0] == "t_s,f0_hz,true_f0_hz"
+
+    def test_synth_names_a_nan_f0(self, tmp_path, capsys):
+        src = tmp_path / "f0.csv"
+        src.write_text("t_s,f0_hz\n0.0,2000.0\n0.01,nan\n0.02,2000.0\n")
+        assert run("--out", str(tmp_path / "syn"), "synth", "--f0", str(src)) == 2
+        assert f"{src}: non-finite value 'nan' on row 3, column f0_hz" in capsys.readouterr().err
+        assert not (tmp_path / "syn" / "out.wav").exists()
 
     def test_synth_from_f0_csv(self, tmp_path):
         src = tmp_path / "f0.csv"

@@ -10,9 +10,11 @@ from neurof0.eeg import (
     EegRecording,
     LabeledDataset,
     load_recording_csv,
+    read_column,
     split_dataset,
     window_frames,
     window_matrix,
+    write_columns,
     write_recording_csv,
 )
 from neurof0.errors import DataError
@@ -330,6 +332,37 @@ class TestCsvBoundaries:
         write_csv(path, rows, angle=True)
         with pytest.raises(DataError, match=r"'oops' on row 19, column F7"):
             load_recording_csv(path)
+
+
+class TestColumns:
+    def test_read_column(self, tmp_path):
+        path = tmp_path / "f0.csv"
+        path.write_text("t_s,f0_hz\n0.0,2000.0\n0.01, 2500.5\n")
+        values = read_column(path, "f0_hz")
+        assert isinstance(values, np.ndarray)
+        assert values.tolist() == [2000.0, 2500.5]
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty file"),
+        ("t_s,activation\n0.0,0.5\n", "no 'f0_hz' column"),
+        ("t_s,f0_hz\n", "no data rows"),
+        ("t_s,f0_hz\n0.0,2000.0\n0.01\n", "row 3 has 1 cells, expected 2"),
+        ("t_s,f0_hz\n0.0,2000.0\n0.01,nan\n", "non-finite value 'nan' on row 3, column f0_hz"),
+        ("t_s,f0_hz\n0.0,-inf\n", "non-finite value '-inf' on row 2, column f0_hz"),
+        ("t_s,f0_hz\n0.0,abc\n", "non-numeric cell 'abc' on row 2, column f0_hz"),
+    ])
+    def test_read_column_errors_name_their_location(self, tmp_path, text, match):
+        path = tmp_path / "f0.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(match)):
+            read_column(path, "f0_hz")
+
+    def test_write_columns(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_columns(path, ["a", "b", "c"],
+                      [np.array([0.1, -0.0]), (1, 2.5), [1e-300, None]])
+        assert path.read_bytes() == b"a,b,c\n0.1,1.0,1e-300\n-0.0,2.5,\n"
+        assert read_column(path, "a").tolist() == [0.1, -0.0]
 
 
 class TestWindowMatrix:

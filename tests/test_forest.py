@@ -55,11 +55,28 @@ class TestHyperparams:
             {"min_samples_split": 1},
             {"max_features": 0},
             {"max_features": 101},
+            {"n_estimators": 2**32},
+            {"min_samples_leaf": 2**32},
+            {"min_samples_split": 2**32},
+            {"seed": 2**63},
+            {"seed": -(2**63) - 1},
+            {"seed": 2**64 - 1},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ForestHyperparams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 2**63 - 1},
+        {"seed": -(2**63)},
+        {"min_samples_leaf": 2**32 - 1, "min_samples_split": 2**32 - 1},
+    ])
+    def test_header_extremes_round_trip(self, tmp_path, kwargs):
+        # the .nf0f header stores the seed as i64 and the counts as u32
+        hp = ForestHyperparams(n_estimators=1, **kwargs)
+        save_model(ForestModel(trees=[leaf_only_tree(3)], hyperparams=hp), tmp_path / "m.nf0f")
+        assert load_model(tmp_path / "m.nf0f").hyperparams == hp
 
 
 class TestTraining:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,11 +59,51 @@ class TestConfig:
             {"split": {"fraction": 0.5}},
             {"paths": {"output": "x"}},
             {"forest": {"n_estimators": 0}},
+            {"split": {"seed": None}},
+            {"split": 5},
+            {"synth": {"amplitude": [1]}},
+            {"paths": {"model": 5}},
+            {"forest": {"seed": 1.5}},
+            {"forest": {"n_estimators": 2.5}},
+            {"split": {"seed": 9.7}},
+            {"synth": {"sample_rate_hz": 22050.5}},
+            {"forest": {"n_estimators": True}},
+            {"split": {"seed": False}},
+            {"synth": {"amplitude": True}},
+            {"arm": {"damping_nms": "0.2"}},
+            {"mapping": {"f0_max_hz": float("inf")}},
+            {"split": {"train_fraction": float("nan")}},
+            {"arm": {"gravity_ms2": 10**400}},
+            {"arm": None},
+            {"paths": ["model.nf0f"]},
+            {"forest": {"seed": 18446744073709551615}},
         ],
     )
     def test_unknown_or_invalid_keys_rejected(self, raw):
         with pytest.raises(DataError):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, match", [
+        ({"split": {"seed": 9.7}}, "'seed' in section 'split' must be an integer, got 9.7"),
+        ({"forest": {"n_estimators": True}},
+         "'n_estimators' in section 'forest' must be an integer, got True"),
+        ({"synth": {"amplitude": [1]}}, "'amplitude' in section 'synth' must be a finite number"),
+        ({"paths": {"model": 5}}, "'model' in section 'paths' must be a string or null"),
+        ({"split": 5}, "section 'split' must be a JSON object"),
+        ({"paths": {"output": "x"}}, "unknown key(s) ['output'] in config section 'paths'"),
+        ({"armz": {}}, "unknown key(s) ['armz'] in the config"),
+    ])
+    def test_rejection_names_section_and_key(self, raw, match):
+        with pytest.raises(DataError, match=re.escape(match)):
+            config_from_dict(raw)
+
+    def test_json_numbers_accepted(self):
+        cfg = config_from_dict({"arm": {"damping_nms": 0}, "synth": {"amplitude": 1},
+                                "forest": {"seed": -(2**63)},
+                                "paths": {"model": None, "data": "d.csv"}})
+        assert cfg.arm.damping_nms == 0 and cfg.synth_amplitude == 1
+        assert cfg.forest.seed == -(2**63)
+        assert cfg.model_path is None and cfg.data_path == "d.csv"
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
