@@ -25,9 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eeg import ActivationClass
-
-CONTROL_DT_S = 0.01
+from .eeg import CONTROL_DT_S, ActivationClass
 
 
 @dataclass(frozen=True)
@@ -74,13 +72,10 @@ class ActivationTrajectory:
     """Activation levels in [0, 1] at the fixed 0.01 s control step."""
 
     levels: Sequence[float]
-    dt_s: float = CONTROL_DT_S
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.levels)
         object.__setattr__(self, "levels", levels)
-        if self.dt_s != CONTROL_DT_S:
-            raise ValueError(f"control step is fixed at {CONTROL_DT_S} s")
         for v in levels:
             if not (math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"activation level {v!r} outside [0, 1]")
@@ -98,7 +93,6 @@ class AngleTrajectory:
     """Elbow angles in degrees at the fixed 0.01 s control step."""
 
     angles_deg: Sequence[float]
-    dt_s: float = CONTROL_DT_S
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.angles_deg, dtype=float))
@@ -109,8 +103,6 @@ class AngleTrajectory:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "angles_deg", arr)
-        if self.dt_s != CONTROL_DT_S:
-            raise ValueError(f"control step is fixed at {CONTROL_DT_S} s")
 
     def __len__(self) -> int:
         return int(self.angles_deg.size)

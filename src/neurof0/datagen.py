@@ -31,6 +31,7 @@ from .eeg import (
     EegRecording,
     LabeledDataset,
     N_CHANNELS,
+    SAMPLE_RATE_HZ,
     SAMPLES_PER_FRAME,
 )
 
@@ -44,14 +45,11 @@ class SynthConfig:
     seed: int = 0
     carrier_hz: float = 20.0
     amp_per_class: float = 5.0
-    sample_rate_hz: float = 1000.0
 
     def __post_init__(self):
         if self.n_samples < 10:
             raise ValueError("n_samples must be at least 10 (one per class)")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if not 0 < self.carrier_hz < self.sample_rate_hz / 2:
+        if not 0 < self.carrier_hz < SAMPLE_RATE_HZ / 2:
             raise ValueError("carrier_hz must lie below the Nyquist frequency")
         if not self.amp_per_class > 0:
             raise ValueError("amp_per_class must be positive")
@@ -62,7 +60,7 @@ class SynthConfig:
 def _clean_signal(cfg: SynthConfig, classes: list[ActivationClass]) -> np.ndarray:
     """Noiseless single-channel signal for a sequence of per-frame classes."""
     amps = np.repeat([c.index * cfg.amp_per_class for c in classes], SAMPLES_PER_FRAME)
-    t = np.arange(len(classes) * SAMPLES_PER_FRAME) / cfg.sample_rate_hz
+    t = np.arange(len(classes) * SAMPLES_PER_FRAME) / SAMPLE_RATE_HZ
     return amps * np.sin(2.0 * math.pi * cfg.carrier_hz * t)
 
 
@@ -144,7 +142,7 @@ def oracle_classify(frame: EegFrame, cfg: SynthConfig) -> ActivationClass:
     at the midpoints between class amplitudes. On noiseless frames this is
     exact; it is the Bayes classifier under the generator's Gaussian noise.
     """
-    t = (frame.index * SAMPLES_PER_FRAME + np.arange(SAMPLES_PER_FRAME)) / cfg.sample_rate_hz
+    t = (frame.index * SAMPLES_PER_FRAME + np.arange(SAMPLES_PER_FRAME)) / SAMPLE_RATE_HZ
     template = np.sin(2.0 * math.pi * cfg.carrier_hz * t)
     norm = float(template @ template)
     if norm <= 0.0:

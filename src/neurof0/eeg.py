@@ -26,6 +26,9 @@ from .rng import SplitMix64
 DEFAULT_CHANNELS = ("FP1", "FP2", "F7", "F8", "T3", "T4", "T5", "T6", "O1", "O2")
 N_CHANNELS = 10
 SAMPLES_PER_FRAME = 10
+SAMPLE_RATE_HZ = 1000.0
+# one frame per control step of the downstream actuator (0.01 s)
+CONTROL_DT_S = SAMPLES_PER_FRAME / SAMPLE_RATE_HZ
 ANGLE_COLUMN = "angle_deg"
 
 
@@ -97,13 +100,13 @@ class EegFrame:
 class EegRecording:
     """Multichannel EEG time series with optional elbow-angle kinematics.
 
-    samples has shape (n_channels, n_samples); kinematics, when present,
-    holds one angle in degrees per 0.01 s control step.
+    samples has shape (n_channels, n_samples), sampled at 1000 Hz;
+    kinematics, when present, holds one angle in degrees per 0.01 s
+    control step.
     """
 
     samples: np.ndarray
     channel_names: Sequence[str] = DEFAULT_CHANNELS
-    sample_rate_hz: float = 1000.0
     kinematics: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -115,8 +118,6 @@ class EegRecording:
             raise ValueError(
                 f"{arr.shape[0]} channel rows but {len(names)} channel names"
             )
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
         object.__setattr__(self, "samples", _readonly(arr))
         object.__setattr__(self, "channel_names", names)
         if self.kinematics is not None:
@@ -155,22 +156,31 @@ class LabeledDataset:
 
 def _csv_rows(path):
     """Yield a CSV file's stripped header row, then (row number, cells) for
-    each data row, numbered from 2 as in an editor. An empty file, or a row
-    with other than one cell per header column, raises DataError. Callers
-    close the generator, which closes the file."""
-    with open(path, "r", newline="") as fh:
+    each data row, numbered from 2 as in an editor. An empty file, a row
+    with other than one cell per header column, a cell the csv module
+    rejects (such as one over its field size limit) or text that is not
+    UTF-8 raises DataError. Callers close the generator, which closes the
+    file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        yield header
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                )
-            yield row_no, row
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            header = [h.strip() for h in header]
+            yield header
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                    )
+                yield row_no, row
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}: not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})"
+            ) from None
 
 
 def load_recording_csv(path) -> EegRecording:
@@ -271,7 +281,7 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
     bit. A list column is written as is (Python floats, None for an empty
     cell); any other column, such as an array, is converted to floats.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for start in range(0, len(columns[0]), _WRITE_ROWS):
@@ -310,45 +320,36 @@ def write_recording_csv(rec: EegRecording, path) -> None:
     write_columns(path, header, columns)
 
 
-def window_matrix(rec: EegRecording, window_s: float = 0.01) -> np.ndarray:
+def window_matrix(rec: EegRecording) -> np.ndarray:
     """Cut a recording into consecutive non-overlapping 10 x 10 frames.
 
     Returns the (n_frames, 100) feature matrix: row i is frame i flattened
     row-major (channel-major), as EegFrame.features() would give it. The
-    trailing partial window, if any, is dropped. window_s times the sample
-    rate must be a whole number of samples (10 at the defaults).
+    trailing partial window, if any, is dropped.
     """
-    spw_exact = window_s * rec.sample_rate_hz
-    spw = int(round(spw_exact))
-    if spw <= 0 or abs(spw_exact - spw) > 1e-9:
-        raise ValueError(
-            f"window of {window_s} s is not a whole number of samples at "
-            f"{rec.sample_rate_hz} Hz"
-        )
-    n_frames = rec.n_samples // spw
+    n_frames = rec.n_samples // SAMPLES_PER_FRAME
     if n_frames == 0:
         raise ValueError(
-            f"recording has {rec.n_samples} samples, fewer than one {spw}-sample window"
+            f"recording has {rec.n_samples} samples, fewer than one "
+            f"{SAMPLES_PER_FRAME}-sample window"
         )
-    if (rec.n_channels, spw) != (N_CHANNELS, SAMPLES_PER_FRAME):
-        raise ValueError(
-            f"frame must be {N_CHANNELS}x{SAMPLES_PER_FRAME}, got {(rec.n_channels, spw)}"
-        )
-    X = (rec.samples[:, :n_frames * spw]
-         .reshape(N_CHANNELS, n_frames, spw)
+    if rec.n_channels != N_CHANNELS:
+        raise ValueError(f"frame must have {N_CHANNELS} channels, got {rec.n_channels}")
+    X = (rec.samples[:, :n_frames * SAMPLES_PER_FRAME]
+         .reshape(N_CHANNELS, n_frames, SAMPLES_PER_FRAME)
          .transpose(1, 0, 2)
-         .reshape(n_frames, N_CHANNELS * spw))
+         .reshape(n_frames, N_CHANNELS * SAMPLES_PER_FRAME))
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:
         raise ValueError(f"frame {int(bad[0])} contains non-finite values")
     return X
 
 
-def window_frames(rec: EegRecording, window_s: float = 0.01) -> list[EegFrame]:
+def window_frames(rec: EegRecording) -> list[EegFrame]:
     """The rows of window_matrix as EegFrame objects, indexed in order."""
     return [
         EegFrame(values=x.reshape(N_CHANNELS, SAMPLES_PER_FRAME), index=i)
-        for i, x in enumerate(window_matrix(rec, window_s))
+        for i, x in enumerate(window_matrix(rec))
     ]
 
 

@@ -29,11 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .eeg import ActivationClass, EegFrame, LabeledDataset
+from .eeg import N_CHANNELS, SAMPLES_PER_FRAME, ActivationClass, EegFrame, LabeledDataset
 from .errors import ModelFileError
 from .rng import SplitMix64
 
-N_FEATURES = 100
+N_FEATURES = N_CHANNELS * SAMPLES_PER_FRAME
 N_CLASSES = 10
 LEAF = -1
 
@@ -126,7 +126,6 @@ class DecisionTree:
 class ForestModel:
     trees: Sequence[DecisionTree]
     hyperparams: ForestHyperparams = field(default_factory=ForestHyperparams)
-    feature_layout: str = "row-major"
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))

@@ -53,8 +53,9 @@ class PipelineConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if not 0.0 <= self.synth_amplitude <= 1.0:
             raise ValueError("synth_amplitude must be within [0, 1]")
-        if self.synth_sample_rate_hz < 100:
-            raise ValueError("synth_sample_rate_hz must be at least 100")
+        # the WAV header stores the byte rate, twice the sample rate, as u32
+        if not 100 <= self.synth_sample_rate_hz <= 2**31 - 1:
+            raise ValueError("synth_sample_rate_hz must be in 100..2147483647")
 
 
 # sections that fill one dataclass each, and sections whose keys fill
@@ -117,11 +118,12 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path, "r") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes and nesting too deep for the parser included
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
     return config_from_dict(raw)
@@ -152,13 +154,12 @@ def _snap_to_class_angles(model: ArmModel, angles_deg: np.ndarray) -> np.ndarray
 
 
 def _score(cfg: PipelineConfig, pred: np.ndarray, truth: np.ndarray,
-           pred_deg: np.ndarray, true_deg: np.ndarray) -> MetricsReport:
-    """Stage metrics of predicted against true class indices (1..10) and
-    elbow angles, one per frame. Angle accuracy compares the classes the
-    angles snap to, which for equilibrium angles equals comparing the
-    angles; F0 is each angle's mapped pitch."""
-    pred_f0, true_f0 = (map_trajectory(cfg.mapping, AngleTrajectory(a)).values_hz
-                        for a in (pred_deg, true_deg))
+           pred_deg: np.ndarray, true_deg: np.ndarray,
+           pred_f0: np.ndarray, true_f0: np.ndarray) -> MetricsReport:
+    """Stage metrics of predicted against true class indices (1..10),
+    elbow angles and their mapped F0, one per frame. Angle accuracy
+    compares the classes the angles snap to, which for equilibrium angles
+    equals comparing the angles."""
     return MetricsReport(
         classifier_accuracy=accuracy(pred.tolist(), truth.tolist()),
         activation_rmse=rmse(pred / 10.0, truth / 10.0),
@@ -208,7 +209,8 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
         true_classes = derive_labels(cfg.arm, true_angles)
         true_f0 = map_trajectory(cfg.mapping, true_angles)
         metrics = _score(cfg, pred, np.array([c.index for c in true_classes]),
-                         angles.angles_deg, true_angles.angles_deg)
+                         angles.angles_deg, true_angles.angles_deg,
+                         f0.values_hz, true_f0.values_hz)
     return PipelineResult(activations=pred_classes, angles=angles, f0=f0,
                           audio=audio, metrics=metrics,
                           true_activations=true_classes, true_f0=true_f0)
@@ -223,6 +225,7 @@ def evaluate_static(cfg: PipelineConfig, pred: list[ActivationClass],
     the predicted and true classes, and F0 their mapped values.
     """
     angles = _class_angles(cfg.arm)
+    f0 = map_trajectory(cfg.mapping, AngleTrajectory(angles)).values_hz
     p = np.array([c.index for c in pred], dtype=np.intp)
     t = np.array([c.index for c in truth], dtype=np.intp)
-    return _score(cfg, p, t, angles[p - 1], angles[t - 1])
+    return _score(cfg, p, t, angles[p - 1], angles[t - 1], f0[p - 1], f0[t - 1])

@@ -37,7 +37,6 @@ class F0Trajectory:
     """Fundamental-frequency values in Hz per 0.01 s control step."""
 
     values_hz: Sequence[float]
-    dt_s: float = CONTROL_DT_S
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.values_hz, dtype=float))
@@ -46,8 +45,6 @@ class F0Trajectory:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values_hz", arr)
-        if self.dt_s != CONTROL_DT_S:
-            raise ValueError(f"control step is fixed at {CONTROL_DT_S} s")
 
     def __len__(self) -> int:
         return int(self.values_hz.size)

@@ -59,12 +59,6 @@ class TestTrajectories:
         with pytest.raises(ValueError):
             ActivationTrajectory(levels=[-0.1])
 
-    def test_fixed_dt(self):
-        with pytest.raises(ValueError):
-            ActivationTrajectory(levels=[0.5], dt_s=0.02)
-        with pytest.raises(ValueError):
-            AngleTrajectory(angles_deg=[10.0], dt_s=0.005)
-
     def test_from_classes(self):
         act = ActivationTrajectory.from_classes([ActivationClass(3), ActivationClass(7)])
         assert act.levels == (0.3, 0.7)

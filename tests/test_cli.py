@@ -100,6 +100,17 @@ class TestDataErrors:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("nf0: error: ")
 
+    @pytest.mark.parametrize("command, flag", [("decode", "--data"),
+                                               ("simulate", "--activations")])
+    @pytest.mark.parametrize("cell, match", [(b"1" * 131_073, "line 2: field larger than"),
+                                             (b"\xff", "not UTF-8 text")],
+                             ids=["overlong-cell", "not-utf8"])
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, command, flag, cell, match):
+        src = tmp_path / "in.csv"  # ten columns, one named activation: read by both commands
+        src.write_bytes(b"activation" + b",c" * 9 + b"\n" + cell + b",0.5" * 9 + b"\n")
+        assert run("--out", str(tmp_path), command, flag, str(src)) == 2
+        assert f"nf0: error: {src}: {match}" in capsys.readouterr().err
+
 
 class TestGenData:
     def test_dataset_file(self, dataset_csv):

@@ -20,11 +20,10 @@ from neurof0.eeg import (
 from neurof0.errors import DataError
 
 
-def make_recording(n_samples, kinematics=None, sample_rate=1000.0):
+def make_recording(n_samples, kinematics=None):
     rng = np.random.default_rng(0)
     return EegRecording(
         samples=rng.normal(size=(10, n_samples)),
-        sample_rate_hz=sample_rate,
         kinematics=kinematics,
     )
 
@@ -105,10 +104,6 @@ class TestEegRecording:
     def test_channel_count_mismatch(self):
         with pytest.raises(ValueError):
             EegRecording(samples=np.zeros((10, 5)), channel_names=("a", "b"))
-
-    def test_sample_rate_positive(self):
-        with pytest.raises(ValueError):
-            make_recording(10, sample_rate=0.0)
 
 
 class TestCsv:
@@ -215,10 +210,6 @@ class TestWindowing:
         with pytest.raises(ValueError):
             window_frames(make_recording(9))
 
-    def test_non_integer_window(self):
-        with pytest.raises(ValueError):
-            window_frames(make_recording(100), window_s=0.0105)
-
     def test_indices_and_order(self):
         frames = window_frames(make_recording(50))
         assert [f.index for f in frames] == [0, 1, 2, 3, 4]
@@ -298,6 +289,16 @@ def write_csv(path, rows, angle=False):
     path.write_text(header + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
 
 
+# a row the csv module cannot read: one cell over its 131,072-character
+# field limit, or a byte that is not UTF-8
+BAD_TEXT_ROWS = [
+    pytest.param(b"1" * 131_073 + b",1.0" * 9 + b"\n", "line 5: field larger than field limit",
+                 id="overlong-cell"),
+    pytest.param(b"1.0,\xff" + b",1.0" * 8 + b"\n", "not UTF-8 text (invalid start byte: b'\\xff')",
+                 id="not-utf8"),
+]
+
+
 class TestCsvBoundaries:
     def test_angle_off_window_start_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -333,6 +334,14 @@ class TestCsvBoundaries:
         with pytest.raises(DataError, match=r"'oops' on row 19, column F7"):
             load_recording_csv(path)
 
+    @pytest.mark.parametrize("row, match", BAD_TEXT_ROWS)
+    def test_unreadable_text_named(self, tmp_path, row, match):
+        path = tmp_path / "r.csv"
+        write_csv(path, [["1.0"] * 10] * 3)
+        path.write_bytes(path.read_bytes() + row)
+        with pytest.raises(DataError, match=re.escape(f"r.csv: {match}")):
+            load_recording_csv(path)
+
 
 class TestColumns:
     def test_read_column(self, tmp_path):
@@ -357,6 +366,14 @@ class TestColumns:
         with pytest.raises(DataError, match=re.escape(match)):
             read_column(path, "f0_hz")
 
+    @pytest.mark.parametrize("row, match", BAD_TEXT_ROWS)
+    def test_read_column_unreadable_text_named(self, tmp_path, row, match):
+        path = tmp_path / "r.csv"
+        write_csv(path, [["1.0"] * 10] * 3)
+        path.write_bytes(path.read_bytes() + row)
+        with pytest.raises(DataError, match=re.escape(f"r.csv: {match}")):
+            read_column(path, "FP1")
+
     def test_write_columns(self, tmp_path):
         path = tmp_path / "c.csv"
         write_columns(path, ["a", "b", "c"],
@@ -379,7 +396,5 @@ class TestWindowMatrix:
             window_matrix(EegRecording(samples=samples))
 
     def test_frame_shape_enforced(self):
-        with pytest.raises(ValueError):
-            window_matrix(make_recording(100, sample_rate=2000.0))
         with pytest.raises(ValueError):
             window_matrix(EegRecording(samples=np.zeros((3, 50)), channel_names="abc"))

@@ -77,6 +77,7 @@ class TestConfig:
             {"arm": None},
             {"paths": ["model.nf0f"]},
             {"forest": {"seed": 18446744073709551615}},
+            {"synth": {"sample_rate_hz": 2**31}},
         ],
     )
     def test_unknown_or_invalid_keys_rejected(self, raw):
@@ -113,6 +114,21 @@ class TestConfig:
         path.write_text("[1, 2]")
         with pytest.raises(DataError):
             load_config(path)
+
+    def test_synth_rate_upper_bound_accepted(self):
+        cfg = config_from_dict({"synth": {"sample_rate_hz": 2**31 - 1}})
+        assert cfg.synth_sample_rate_hz == 2**31 - 1
+
+    @pytest.mark.parametrize("text, match", [
+        (b"[" * 200_000, "maximum recursion depth exceeded"),
+        (b'{"split": {"seed": 1\xff}}', "can't decode byte 0xff"),
+    ], ids=["deep-nesting", "not-utf8"])
+    def test_load_config_unparsable_text_named(self, tmp_path, text, match):
+        path = tmp_path / "c.json"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=re.escape(f"{path}: invalid JSON (")) as exc:
+            load_config(path)
+        assert match in str(exc.value)
 
 
 class TestRunPipeline:

@@ -1,5 +1,6 @@
 """Property tests of the array-native paths, the split search and the input boundaries."""
 
+import json
 import struct
 import tempfile
 from functools import lru_cache
@@ -22,10 +23,11 @@ from helpers import (
 from neurof0 import forest
 from neurof0.arm import ArmModel, equilibrium_angle
 from neurof0.datagen import SynthConfig, generate_dataset
+from neurof0.cli import cli_main
 from neurof0.eeg import ActivationClass, EegRecording, load_recording_csv, write_recording_csv
-from neurof0.errors import ModelFileError
+from neurof0.errors import DataError, ModelFileError
 from neurof0.forest import LEAF, ForestHyperparams, load_model, predict_batch, save_model, train
-from neurof0.pipeline import PipelineConfig, _snap_to_class_angles, evaluate_static
+from neurof0.pipeline import PipelineConfig, _snap_to_class_angles, evaluate_static, load_config
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -216,3 +218,70 @@ class TestModelFileFuzz:
                 + struct.pack("<B10I", 0, *[1] * 10))
         with pytest.raises(ModelFileError, match="tree 0: node 0"):
             load_blob(blob)
+
+
+# bytes a mutation inserts: quoting, line-ending and cell-separating
+# characters, a NUL, a byte that is not UTF-8 and one cell longer than the
+# csv module's 131,072-character field limit
+INSERTS = [b"\x00", b'"', b"\r", b",", b"\xff", b"1" * 131_073]
+
+
+def mutate(data, blob: bytes) -> bytes:
+    """One to three truncations, byte flips or insertions drawn from data."""
+    out = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["truncate", "flip", "insert"]))
+        pos = data.draw(st.integers(0, len(out)))
+        if kind == "truncate":
+            del out[pos:]
+        elif kind == "flip" and pos < len(out):
+            out[pos] ^= 1 << data.draw(st.integers(0, 7))
+        else:
+            out[pos:pos] = data.draw(st.sampled_from(INSERTS))
+    return bytes(out)
+
+
+def load_text(load, blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(blob)
+        return load(path)
+
+
+@lru_cache(maxsize=None)
+def gen_data_csv() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        assert cli_main(["--out", tmp, "gen-data", "--n", "20"]) == 0
+        return (Path(tmp) / "dataset.csv").read_bytes()
+
+
+CONFIG_JSON = json.dumps({
+    "arm": {"forearm_mass_kg": 1.5, "damping_nms": 0.2},
+    "mapping": {"f0_min_hz": 1500.0, "f0_max_hz": 5150.0},
+    "forest": {"n_estimators": 10, "seed": 42},
+    "split": {"train_fraction": 0.7, "seed": 0},
+    "synth": {"sample_rate_hz": 44100, "amplitude": 0.8},
+    "paths": {"model": "model.nf0f", "data": None, "out_dir": "out"},
+}).encode()
+
+
+class TestTextFuzz:
+    @SETTINGS
+    @given(data=st.data())
+    def test_recording_csv(self, data):
+        try:
+            rec = load_text(load_recording_csv, mutate(data, gen_data_csv()))
+        except DataError:
+            return
+        assert rec.n_channels == 10
+        assert np.all(np.isfinite(rec.samples))
+        assert rec.kinematics is None or np.all(np.isfinite(rec.kinematics))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_config_json(self, data):
+        try:
+            cfg = load_text(load_config, mutate(data, CONFIG_JSON))
+        except DataError:
+            return
+        assert isinstance(cfg, PipelineConfig)
