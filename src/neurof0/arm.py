@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eeg import CONTROL_DT_S, ActivationClass
+from .eeg import CONTROL_DT_S, ActivationClass, _readonly, nearest_classes
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,7 @@ class AngleTrajectory:
             raise ValueError("angles_deg must be one-dimensional")
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("angles contain non-finite values")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "angles_deg", arr)
+        object.__setattr__(self, "angles_deg", _readonly(arr))
 
     def __len__(self) -> int:
         return int(self.angles_deg.size)
@@ -121,6 +119,11 @@ def equilibrium_angle(model: ArmModel, activation: float) -> float:
     ratio = activation * model.max_muscle_force_n * model.moment_arm_m / model.gravity_torque_max_nm
     theta = math.degrees(math.asin(min(1.0, ratio)))
     return min(model.angle_max_deg, max(model.angle_min_deg, theta))
+
+
+def class_angles(model: ArmModel) -> np.ndarray:
+    """Equilibrium angle of each class 1..10, in class order."""
+    return np.array([equilibrium_angle(model, k / 10.0) for k in range(1, 11)])
 
 
 def _clamp_state(model: ArmModel, theta: float, omega: float) -> tuple[float, float]:
@@ -254,18 +257,20 @@ def inverse_quasistatic(model: ArmModel, target: AngleTrajectory) -> ActivationT
     discretized to the nearest of the ten classes (ties round up); with the
     calibrated defaults the continuous value is sin(theta).
     """
-    return ActivationTrajectory.from_classes(derive_labels(model, target))
+    return ActivationTrajectory(label_classes(model, target.angles_deg) / 10.0)
+
+
+def label_classes(model: ArmModel, angles_deg) -> np.ndarray:
+    """Class index (1..10) that statically produces each angle (see
+    inverse_quasistatic); an angle outside the joint limits raises ValueError."""
+    ratio = model.gravity_torque_max_nm / (model.max_muscle_force_n * model.moment_arm_m)
+    return nearest_classes([ratio * math.sin(math.radians(_check_angle_in_limits(model, t)))
+                            for t in np.asarray(angles_deg, dtype=float).tolist()])
 
 
 def derive_labels(model: ArmModel, kinematics: AngleTrajectory) -> list[ActivationClass]:
     """Activation class that statically produces each recorded angle."""
-    ratio = model.gravity_torque_max_nm / (model.max_muscle_force_n * model.moment_arm_m)
-    labels = []
-    for theta_deg in kinematics.angles_deg:
-        theta_deg = _check_angle_in_limits(model, float(theta_deg))
-        a = ratio * math.sin(math.radians(theta_deg))
-        labels.append(ActivationClass.nearest(min(1.0, max(0.0, a))))
-    return labels
+    return [ActivationClass(k) for k in label_classes(model, kinematics.angles_deg).tolist()]
 
 
 def inverse_tracking(

@@ -13,16 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .arm import (
-    CONTROL_DT_S,
-    ActivationTrajectory,
-    AngleTrajectory,
-    derive_labels,
-    forward_dynamics,
-)
+from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_classes
 from .datagen import SynthConfig, dataset_to_recording, generate_dataset, generate_movement
 from .eeg import (
-    ActivationClass,
     check_kinematics_length,
     load_recording_csv,
     read_column,
@@ -136,19 +129,18 @@ def _load_labeled(path, cfg: PipelineConfig):
         raise DataError(f"{path}: no angle_deg column; labels cannot be derived")
     X = window_matrix(rec)
     check_kinematics_length(rec, path)
-    labels = derive_labels(cfg.arm, AngleTrajectory(rec.kinematics))
-    y = np.array([c.index for c in labels], dtype=np.int64)
+    y = label_classes(cfg.arm, rec.kinematics)
     return X, y, split_indices(len(y), cfg.train_fraction, cfg.split_seed)
 
 
 def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
     synth_cfg = SynthConfig(
-        n_samples=max(args.n, 10) if args.movement_steps else args.n,
+        n_samples=max(args.n, 10) if args.movement_steps is not None else args.n,
         snr_db=args.snr_db, seed=cfg.split_seed,
         carrier_hz=args.carrier_hz, amp_per_class=args.amp_per_class,
     )
     out = _out_dir(args, cfg)
-    if args.movement_steps:
+    if args.movement_steps is not None:
         rec, _classes = generate_movement(synth_cfg, args.movement_steps, model=cfg.arm)
         path = out / "movement.csv"
     else:
@@ -176,8 +168,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     X, y, (_train, test) = _load_labeled(_data_path(args, cfg), cfg)
     model = load_model(_model_path(args, cfg))
     pred, _votes = predict_batch(model, X[test])
-    report = evaluate_static(cfg, [ActivationClass(k) for k in pred.tolist()],
-                             [ActivationClass(k) for k in y[test].tolist()])
+    report = evaluate_static(cfg, pred, y[test])
     out = _out_dir(args, cfg)
     (out / "metrics.json").write_text(report.to_json())
     print(report.to_json(), end="")
@@ -212,11 +203,11 @@ def _decode(args, cfg: PipelineConfig, rec) -> tuple[Path, PipelineResult]:
     f0.csv to the output directory and returns it with the result."""
     result = run_pipeline(cfg, rec, load_model(_model_path(args, cfg)))
     t = _step_times(len(result.activations))
-    angles = {"t_s": t, "activation": [c.level for c in result.activations],
+    angles = {"t_s": t, "activation": result.activations / 10.0,
               "angle_deg": result.angles.angles_deg}
     f0 = {"t_s": t, "f0_hz": result.f0.values_hz}
     if result.true_activations is not None:
-        angles["true_activation"] = [c.level for c in result.true_activations]
+        angles["true_activation"] = result.true_activations / 10.0
         angles["true_angle_deg"] = rec.kinematics
         f0["true_f0_hz"] = result.true_f0.values_hz
     out = _out_dir(args, cfg)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmModel, ActivationTrajectory, equilibrium_angle, forward_dynamics
+from .arm import ArmModel, ActivationTrajectory, class_angles, forward_dynamics
 from .eeg import (
     ActivationClass,
     EegFrame,
@@ -33,6 +33,8 @@ from .eeg import (
     N_CHANNELS,
     SAMPLE_RATE_HZ,
     SAMPLES_PER_FRAME,
+    class_indices,
+    nearest_classes,
 )
 
 
@@ -57,9 +59,9 @@ class SynthConfig:
             raise ValueError("snr_db must be a number (use inf for noiseless)")
 
 
-def _clean_signal(cfg: SynthConfig, classes: list[ActivationClass]) -> np.ndarray:
-    """Noiseless single-channel signal for a sequence of per-frame classes."""
-    amps = np.repeat([c.index * cfg.amp_per_class for c in classes], SAMPLES_PER_FRAME)
+def _clean_signal(cfg: SynthConfig, classes) -> np.ndarray:
+    """Noiseless single-channel signal for per-frame classes (class_indices)."""
+    amps = np.repeat(class_indices(classes) * cfg.amp_per_class, SAMPLES_PER_FRAME)
     t = np.arange(len(classes) * SAMPLES_PER_FRAME) / SAMPLE_RATE_HZ
     return amps * np.sin(2.0 * math.pi * cfg.carrier_hz * t)
 
@@ -86,15 +88,13 @@ def generate_dataset(cfg: SynthConfig) -> LabeledDataset:
     position.
     """
     rng = np.random.default_rng(cfg.seed)
-    labels = [ActivationClass((i % 10) + 1) for i in range(cfg.n_samples)]
-    perm = rng.permutation(cfg.n_samples)
-    labels = [labels[i] for i in perm]
-
-    samples = _noisy_channels(cfg, _clean_signal(cfg, labels), rng)
+    classes = (np.arange(cfg.n_samples) % 10 + 1)[rng.permutation(cfg.n_samples)]
+    samples = _noisy_channels(cfg, _clean_signal(cfg, classes), rng)
     frames = [
         EegFrame(values=samples[:, p * SAMPLES_PER_FRAME:(p + 1) * SAMPLES_PER_FRAME], index=p)
         for p in range(cfg.n_samples)
     ]
+    labels = [ActivationClass(k) for k in classes.tolist()]
     meta = {"generator": "synthetic", "seed": str(cfg.seed), "snr_db": str(cfg.snr_db)}
     return LabeledDataset(frames=frames, labels=labels, metadata=meta)
 
@@ -103,12 +103,9 @@ def ramp_classes(n_steps: int) -> list[ActivationClass]:
     """Class staircase of a triangle ramp 0.1 -> 1.0 -> 0.1 over n_steps."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    out = []
-    for p in range(n_steps):
-        frac = p / (n_steps - 1) if n_steps > 1 else 0.0
-        tri = 2.0 * frac if frac <= 0.5 else 2.0 * (1.0 - frac)
-        out.append(ActivationClass.nearest(0.1 + 0.9 * tri))
-    return out
+    frac = np.arange(n_steps) / max(1, n_steps - 1)
+    tri = np.where(frac <= 0.5, 2.0 * frac, 2.0 * (1.0 - frac))
+    return [ActivationClass(k) for k in nearest_classes(0.1 + 0.9 * tri).tolist()]
 
 
 def generate_movement(
@@ -164,5 +161,5 @@ def dataset_to_recording(ds: LabeledDataset, model: ArmModel | None = None) -> E
     if len(ds) == 0:
         raise ValueError("cannot serialize an empty dataset")
     samples = np.hstack([f.values for f in ds.frames])
-    kinematics = np.array([equilibrium_angle(model, lab.level) for lab in ds.labels])
+    kinematics = class_angles(model)[class_indices(ds.labels) - 1]
     return EegRecording(samples=samples, kinematics=kinematics)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
@@ -51,6 +52,9 @@ class ActivationClass:
         if not isinstance(self.index, int) or not 1 <= self.index <= 10:
             raise ValueError(f"class index must be an integer in 1..10, got {self.index!r}")
 
+    def __index__(self) -> int:
+        return self.index
+
     @property
     def level(self) -> float:
         return self.index / 10.0
@@ -65,15 +69,29 @@ class ActivationClass:
 
     @classmethod
     def nearest(cls, value: float) -> "ActivationClass":
-        """Nearest class to an arbitrary activation value; ties round up.
+        """Nearest class to an arbitrary activation value (nearest_classes)."""
+        return cls(int(nearest_classes([value])[0]))
 
-        Values are clamped into the class range first, so 0.0 maps to the
-        lowest class 0.1 (there is no class 0).
-        """
-        if not np.isfinite(value):
-            raise ValueError("activation value must be finite")
-        k = int(np.floor(value * 10.0 + 0.5))
-        return cls(min(10, max(1, k)))
+
+def class_indices(seq) -> np.ndarray:
+    """ActivationClass objects or integers, whatever operator.index accepts,
+    as an int64 vector of class indices 1..10; anything else raises ValueError."""
+    try:
+        out = [operator.index(c) for c in seq]
+    except TypeError as exc:
+        raise ValueError(f"class indices must be integers: {exc}") from None
+    if not all(1 <= k <= 10 for k in out):
+        raise ValueError("class indices must be in 1..10")
+    return np.array(out, dtype=np.int64)
+
+
+def nearest_classes(values) -> np.ndarray:
+    """Class index of the nearest class to each activation value, clamped
+    into [0, 1] first; ties round up, and 0.0 maps to class 1 (0.1)."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("activation value must be finite")
+    return np.maximum(np.floor(np.clip(values, 0.0, 1.0) * 10.0 + 0.5), 1).astype(np.int64)
 
 
 @dataclass(frozen=True)

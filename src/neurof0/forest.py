@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .eeg import N_CHANNELS, SAMPLES_PER_FRAME, ActivationClass, EegFrame, LabeledDataset
+from .eeg import (N_CHANNELS, SAMPLES_PER_FRAME, ActivationClass, EegFrame, LabeledDataset,
+                  class_indices)
 from .errors import ModelFileError
 from .rng import SplitMix64
 
@@ -257,11 +258,9 @@ def fit(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams | None = None) -> Fo
     """
     if hp is None:
         hp = ForestHyperparams()
-    y = np.asarray(y, dtype=np.int64) - 1
+    y = class_indices(y) - 1
     if len(y) == 0:
         raise ValueError("cannot train on an empty dataset")
-    if y.min() < 0 or y.max() >= N_CLASSES:
-        raise ValueError(f"class indices must be in 1..{N_CLASSES}")
     X = np.asarray(X, dtype=float)
     if X.shape != (len(y), N_FEATURES):
         raise ValueError(f"feature matrix must be ({len(y)}, {N_FEATURES}), got {X.shape}")
@@ -276,7 +275,7 @@ def fit(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams | None = None) -> Fo
 def train(ds: LabeledDataset, hp: ForestHyperparams | None = None) -> ForestModel:
     """fit on the dataset's frames and labels, in dataset order."""
     X = np.array([f.features() for f in ds.frames]).reshape(len(ds), N_FEATURES)
-    return fit(X, [lab.index for lab in ds.labels], hp)
+    return fit(X, ds.labels, hp)
 
 
 def predict_batch(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,9 +24,9 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from . import arm as arm_mod
-from .arm import ActivationTrajectory, AngleTrajectory, ArmModel, derive_labels, forward_dynamics
-from .eeg import ActivationClass, EegRecording, check_kinematics_length, window_matrix
+from .arm import (ActivationTrajectory, AngleTrajectory, ArmModel, class_angles,
+                  forward_dynamics, label_classes)
+from .eeg import EegRecording, check_kinematics_length, class_indices, window_matrix
 from .errors import DataError, PipelineStageError
 from .forest import ForestHyperparams, ForestModel, predict_batch
 from .metrics import MetricsReport, accuracy, rmse
@@ -51,6 +51,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        if not 0 <= self.split_seed <= 2**64 - 1:  # the splitmix64 state is 64 bits
+            raise ValueError(f"split_seed must be in 0..2**64 - 1, got {self.split_seed}")
         if not 0.0 <= self.synth_amplitude <= 1.0:
             raise ValueError("synth_amplitude must be within [0, 1]")
         # the WAV header stores the byte rate, twice the sample rate, as u32
@@ -133,24 +135,19 @@ def load_config(path) -> PipelineConfig:
 class PipelineResult:
     """Decoded outputs; with kinematics, also their truth and the metrics."""
 
-    activations: list[ActivationClass]
+    activations: np.ndarray  # int64 class index 1..10 of each frame
     angles: AngleTrajectory
     f0: F0Trajectory
     audio: AudioBuffer
     metrics: Optional[MetricsReport]
-    true_activations: Optional[list[ActivationClass]] = None
+    true_activations: Optional[np.ndarray] = None
     true_f0: Optional[F0Trajectory] = None
-
-
-def _class_angles(model: ArmModel) -> np.ndarray:
-    """Equilibrium angle of each class 1..10, in class order."""
-    return np.array([arm_mod.equilibrium_angle(model, k / 10.0) for k in range(1, 11)])
 
 
 def _snap_to_class_angles(model: ArmModel, angles_deg: np.ndarray) -> np.ndarray:
     """Class index (1..10) of the nearest of the ten equilibrium angles to
     each angle, ties toward the lower class."""
-    return np.argmin(np.abs(angles_deg[:, None] - _class_angles(model)), axis=1) + 1
+    return np.argmin(np.abs(angles_deg[:, None] - class_angles(model)), axis=1) + 1
 
 
 def _score(cfg: PipelineConfig, pred: np.ndarray, truth: np.ndarray,
@@ -193,39 +190,36 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
         X = window_matrix(rec)
     with _stage("classification"):
         pred = predict_batch(model, X)[0]
-        pred_classes = [ActivationClass(k) for k in pred.tolist()]
     with _stage("dynamics"):
-        angles = forward_dynamics(cfg.arm, ActivationTrajectory.from_classes(pred_classes))
+        angles = forward_dynamics(cfg.arm, ActivationTrajectory(pred / 10.0))
     with _stage("pitch mapping"):
         f0 = map_trajectory(cfg.mapping, angles)
     with _stage("synthesis"):
         audio = synthesize(f0, sample_rate_hz=cfg.synth_sample_rate_hz,
                            amplitude=cfg.synth_amplitude)
 
-    metrics = true_classes = true_f0 = None
+    metrics = truth = true_f0 = None
     if rec.kinematics is not None:
         check_kinematics_length(rec, "recording")
         true_angles = AngleTrajectory(rec.kinematics)
-        true_classes = derive_labels(cfg.arm, true_angles)
+        truth = label_classes(cfg.arm, true_angles.angles_deg)
         true_f0 = map_trajectory(cfg.mapping, true_angles)
-        metrics = _score(cfg, pred, np.array([c.index for c in true_classes]),
-                         angles.angles_deg, true_angles.angles_deg,
+        metrics = _score(cfg, pred, truth, angles.angles_deg, true_angles.angles_deg,
                          f0.values_hz, true_f0.values_hz)
-    return PipelineResult(activations=pred_classes, angles=angles, f0=f0,
+    return PipelineResult(activations=pred, angles=angles, f0=f0,
                           audio=audio, metrics=metrics,
-                          true_activations=true_classes, true_f0=true_f0)
+                          true_activations=truth, true_f0=true_f0)
 
 
-def evaluate_static(cfg: PipelineConfig, pred: list[ActivationClass],
-                    truth: list[ActivationClass]) -> MetricsReport:
+def evaluate_static(cfg: PipelineConfig, pred, truth) -> MetricsReport:
     """Per-frame stage metrics with each sample treated independently.
 
     Used by model evaluation on shuffled test frames, where a temporal
     simulation is meaningless: angles are the static equilibrium angles of
-    the predicted and true classes, and F0 their mapped values.
+    the predicted and true classes, and F0 their mapped values. pred and
+    truth are class index vectors or ActivationClass lists (class_indices).
     """
-    angles = _class_angles(cfg.arm)
+    angles = class_angles(cfg.arm)
     f0 = map_trajectory(cfg.mapping, AngleTrajectory(angles)).values_hz
-    p = np.array([c.index for c in pred], dtype=np.intp)
-    t = np.array([c.index for c in truth], dtype=np.intp)
+    p, t = class_indices(pred), class_indices(truth)
     return _score(cfg, p, t, angles[p - 1], angles[t - 1], f0[p - 1], f0[t - 1])

@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .arm import CONTROL_DT_S, AngleTrajectory
+from .eeg import _readonly
 
 F0_MIN_HZ = 1500.0
 F0_MAX_HZ = 5150.0
@@ -42,9 +43,7 @@ class F0Trajectory:
         arr = np.atleast_1d(np.asarray(self.values_hz, dtype=float))
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0)):
             raise ValueError("f0 values must be finite and positive")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values_hz", arr)
+        object.__setattr__(self, "values_hz", _readonly(arr))
 
     def __len__(self) -> int:
         return int(self.values_hz.size)
@@ -61,9 +60,7 @@ class AudioBuffer:
         arr = np.atleast_1d(np.asarray(self.samples, dtype=float))
         if arr.size and (not np.all(np.isfinite(arr)) or np.max(np.abs(arr)) > 1.0):
             raise ValueError("samples must be finite and within [-1, 1]")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _readonly(arr))
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
 
@@ -75,13 +72,14 @@ def map_angle_to_f0(mapping: F0Mapping, theta_deg: float) -> float:
     """Affine angle-to-pitch map; out-of-range angles are clamped first."""
     if not math.isfinite(theta_deg):
         raise ValueError("angle must be finite")
-    theta = min(mapping.angle_max_deg, max(mapping.angle_min_deg, theta_deg))
-    frac = (theta - mapping.angle_min_deg) / (mapping.angle_max_deg - mapping.angle_min_deg)
-    return mapping.f0_min_hz + frac * (mapping.f0_max_hz - mapping.f0_min_hz)
+    return float(map_trajectory(mapping, AngleTrajectory([theta_deg])).values_hz[0])
 
 
 def map_trajectory(mapping: F0Mapping, angles: AngleTrajectory) -> F0Trajectory:
-    return F0Trajectory(values_hz=[map_angle_to_f0(mapping, float(t)) for t in angles.angles_deg])
+    """The affine angle-to-pitch map of every angle, out-of-range angles clamped first."""
+    theta = np.minimum(mapping.angle_max_deg, np.maximum(mapping.angle_min_deg, angles.angles_deg))
+    frac = (theta - mapping.angle_min_deg) / (mapping.angle_max_deg - mapping.angle_min_deg)
+    return F0Trajectory(mapping.f0_min_hz + frac * (mapping.f0_max_hz - mapping.f0_min_hz))
 
 
 def synthesize(

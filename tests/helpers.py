@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles and file readers."""
 
+import math
 import struct
 import wave
 
@@ -161,17 +162,52 @@ def best_split_reference(X, y_onehot, idx, feats, min_leaf):
     return best
 
 
+def map_angle_to_f0_reference(mapping, theta_deg: float) -> float:
+    """The scalar angle-to-pitch map: clamp into the mapping's angle range
+    with Python's min and max, then map affinely onto the pitch band."""
+    theta = min(mapping.angle_max_deg, max(mapping.angle_min_deg, theta_deg))
+    frac = (theta - mapping.angle_min_deg) / (mapping.angle_max_deg - mapping.angle_min_deg)
+    return mapping.f0_min_hz + frac * (mapping.f0_max_hz - mapping.f0_min_hz)
+
+
+def nearest_class_reference(value: float) -> int:
+    """Scalar nearest-class rule: floor(v * 10 + 0.5), clamped to 1..10."""
+    return min(10, max(1, int(np.floor(value * 10.0 + 0.5))))
+
+
+def derive_labels_reference(model, angles_deg) -> list[int]:
+    """Class index per angle by the scalar static inverse, one angle at a
+    time: the activation that holds the angle, clamped to [0, 1], rounded
+    to the nearest class. Angles must lie within the joint limits."""
+    ratio = model.gravity_torque_max_nm / (model.max_muscle_force_n * model.moment_arm_m)
+    labels = []
+    for theta_deg in angles_deg:
+        theta_deg = min(model.angle_max_deg, max(model.angle_min_deg, float(theta_deg)))
+        a = ratio * math.sin(math.radians(theta_deg))
+        labels.append(nearest_class_reference(min(1.0, max(0.0, a))))
+    return labels
+
+
+def ramp_classes_reference(n_steps: int) -> list[int]:
+    """Class indices of the triangle ramp 0.1 -> 1.0 -> 0.1, step by step."""
+    out = []
+    for p in range(n_steps):
+        frac = p / (n_steps - 1) if n_steps > 1 else 0.0
+        tri = 2.0 * frac if frac <= 0.5 else 2.0 * (1.0 - frac)
+        out.append(nearest_class_reference(0.1 + 0.9 * tri))
+    return out
+
+
 def evaluate_static_reference(cfg, pred, truth):
     """The five static stage metrics computed frame by frame: each class's
     equilibrium angle and its mapped F0, as evaluate_static once did."""
     from neurof0.arm import equilibrium_angle
     from neurof0.metrics import MetricsReport, accuracy, rmse
-    from neurof0.voice import map_angle_to_f0
 
     pred_angles = [equilibrium_angle(cfg.arm, c.level) for c in pred]
     true_angles = [equilibrium_angle(cfg.arm, c.level) for c in truth]
-    pred_f0 = [map_angle_to_f0(cfg.mapping, t) for t in pred_angles]
-    true_f0 = [map_angle_to_f0(cfg.mapping, t) for t in true_angles]
+    pred_f0 = [map_angle_to_f0_reference(cfg.mapping, t) for t in pred_angles]
+    true_f0 = [map_angle_to_f0_reference(cfg.mapping, t) for t in true_angles]
     return MetricsReport(
         classifier_accuracy=accuracy(pred, truth),
         activation_rmse=rmse([c.level for c in pred], [c.level for c in truth]),

@@ -73,6 +73,17 @@ class TestDataErrors:
     def test_train_without_data(self, tmp_path):
         assert run("--out", str(tmp_path), "train") == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        assert run("--seed", seed, "--out", str(tmp_path), "gen-data") == 2
+        assert "split_seed must be in 0..2**64 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_zero_movement_steps(self, tmp_path, capsys):
+        assert run("--out", str(tmp_path), "gen-data", "--movement-steps", "0") == 2
+        assert "n_steps must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["train", "eval", "decode"])
     def test_data_required(self, tmp_path, command, capsys):
         assert run("--out", str(tmp_path), command) == 2

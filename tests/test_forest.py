@@ -160,6 +160,8 @@ class TestTraining:
         ((3, 100), [1, 11, 2], "class indices"),
         ((3, 99), [1, 2, 3], "feature matrix"),
         ((2, 100), [1, 2, 3], "feature matrix"),
+        ((20, 100), np.full(20, 1.5), "class indices"),
+        ((20, 100), ["3"] * 20, "class indices"),
     ])
     def test_fit_rejects_bad_inputs(self, shape, labels, match):
         with pytest.raises(ValueError, match=match):

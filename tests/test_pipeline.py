@@ -78,6 +78,8 @@ class TestConfig:
             {"paths": ["model.nf0f"]},
             {"forest": {"seed": 18446744073709551615}},
             {"synth": {"sample_rate_hz": 2**31}},
+            {"split": {"seed": -1}},
+            {"split": {"seed": 2**64}},
         ],
     )
     def test_unknown_or_invalid_keys_rejected(self, raw):
@@ -115,6 +117,11 @@ class TestConfig:
         with pytest.raises(DataError):
             load_config(path)
 
+    def test_split_seed_range(self):
+        assert config_from_dict({"split": {"seed": 2**64 - 1}}).split_seed == 2**64 - 1
+        with pytest.raises(DataError, match="split_seed must be in 0..2"):
+            config_from_dict({"split": {"seed": -1}})
+
     def test_synth_rate_upper_bound_accepted(self):
         cfg = config_from_dict({"synth": {"sample_rate_hz": 2**31 - 1}})
         assert cfg.synth_sample_rate_hz == 2**31 - 1
@@ -143,7 +150,7 @@ class TestRunPipeline:
         f0 = map_trajectory(cfg.mapping, angles)
         audio = synthesize(f0, cfg.synth_sample_rate_hz, cfg.synth_amplitude)
 
-        assert result.activations == pred
+        assert result.activations.tolist() == [c.index for c in pred]
         np.testing.assert_array_equal(result.angles.angles_deg, angles.angles_deg)
         np.testing.assert_array_equal(result.f0.values_hz, f0.values_hz)
         np.testing.assert_array_equal(result.audio.samples, audio.samples)
@@ -188,7 +195,7 @@ class TestRunPipeline:
     def test_noiseless_movement_decodes_cleanly(self, trained_model):
         rec, classes = generate_movement(SynthConfig(n_samples=10, snr_db=NOISELESS, seed=21), 300)
         result = run_pipeline(PipelineConfig(), rec, trained_model)
-        assert result.activations == classes
+        assert result.activations.tolist() == [c.index for c in classes]
         assert result.metrics.f0_rmse_hz == 0.0
         assert result.metrics.angle_rmse_deg == 0.0
         assert result.metrics.angle_accuracy == 1.0
@@ -216,6 +223,19 @@ class TestEvaluateStatic:
         assert report.angle_rmse_deg > 0.0
         assert report.f0_rmse_hz > 0.0
 
+    def test_index_vectors_match_class_lists(self):
+        cfg = PipelineConfig()
+        pred, truth = [3, 3, 10, 1], [3, 4, 9, 1]
+        report = evaluate_static(cfg, np.array(pred), np.array(truth))
+        expected = evaluate_static(cfg, [ActivationClass(k) for k in pred],
+                                   [ActivationClass(k) for k in truth])
+        assert report.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("pred", [[1.5, 2.0], ["3", "3"], [0, 3], [3, 11]])
+    def test_rejects_non_classes(self, pred):
+        with pytest.raises(ValueError, match="class indices"):
+            evaluate_static(PipelineConfig(), pred, [3, 3])
+
     def test_json_shape(self):
         cfg = PipelineConfig()
         classes = [ActivationClass(2)] * 4
@@ -232,7 +252,7 @@ def test_result_carries_truth(trained_model):
     rec, _classes = generate_movement(SynthConfig(n_samples=10, snr_db=20.0, seed=8), 60)
     result = run_pipeline(cfg, rec, trained_model)
     truth = AngleTrajectory(rec.kinematics)
-    assert result.true_activations == derive_labels(cfg.arm, truth)
+    assert result.true_activations.tolist() == [c.index for c in derive_labels(cfg.arm, truth)]
     np.testing.assert_array_equal(result.true_f0.values_hz,
                                   map_trajectory(cfg.mapping, truth).values_hz)
     bare = run_pipeline(cfg, EegRecording(samples=rec.samples), trained_model)

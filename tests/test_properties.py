@@ -1,6 +1,7 @@
 """Property tests of the array-native paths, the split search and the input boundaries."""
 
 import json
+import math
 import struct
 import tempfile
 from functools import lru_cache
@@ -15,19 +16,23 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import (
     best_split_reference,
+    derive_labels_reference,
     evaluate_static_reference,
     forest_votes_reference,
+    map_angle_to_f0_reference,
+    ramp_classes_reference,
     snap_to_class_angle_reference,
 )
 
 from neurof0 import forest
-from neurof0.arm import ArmModel, equilibrium_angle
-from neurof0.datagen import SynthConfig, generate_dataset
+from neurof0.arm import AngleTrajectory, ArmModel, derive_labels, equilibrium_angle, label_classes
+from neurof0.datagen import SynthConfig, generate_dataset, ramp_classes
 from neurof0.cli import cli_main
 from neurof0.eeg import ActivationClass, EegRecording, load_recording_csv, write_recording_csv
 from neurof0.errors import DataError, ModelFileError
 from neurof0.forest import LEAF, ForestHyperparams, load_model, predict_batch, save_model, train
 from neurof0.pipeline import PipelineConfig, _snap_to_class_angles, evaluate_static, load_config
+from neurof0.voice import F0Mapping, map_angle_to_f0, map_trajectory
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -148,6 +153,97 @@ class TestSnapTable:
     def test_random_angles(self, arm, angles):
         got = _snap_to_class_angles(arm, np.array(angles))
         assert got.tolist() == [snap_to_class_angle_reference(arm, t) for t in angles]
+
+
+def bits(values) -> list[int]:
+    """Float64 values as their bit patterns, so -0.0 != 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestMapTrajectory:
+    MAPPINGS = [F0Mapping(), F0Mapping(angle_min_deg=-0.0),
+                F0Mapping(angle_min_deg=10.0, angle_max_deg=60.0, f0_min_hz=200.0, f0_max_hz=900.0),
+                F0Mapping(angle_min_deg=-30.0, angle_max_deg=120.5, f0_min_hz=55.0,
+                          f0_max_hz=7040.0)]
+
+    @staticmethod
+    def specials(mapping) -> list[float]:
+        limits = [mapping.angle_min_deg, mapping.angle_max_deg]
+        return [1e308, -1e308, 0.0, -0.0, *limits, *np.nextafter(limits, -np.inf).tolist(),
+                *np.nextafter(limits, np.inf).tolist()]
+
+    def assert_matches_reference(self, mapping, angles):
+        want = [map_angle_to_f0_reference(mapping, a) for a in angles]
+        assert bits(map_trajectory(mapping, AngleTrajectory(angles)).values_hz) == bits(want)
+        assert bits([map_angle_to_f0(mapping, a) for a in angles]) == bits(want)
+
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    @SETTINGS
+    @given(data=st.data())
+    def test_bit_equal_to_scalar_map(self, mapping, data):
+        angles = data.draw(st.lists(st.one_of(st.floats(-1e308, 1e308),
+                                              st.sampled_from(self.specials(mapping))),
+                                    max_size=40))
+        self.assert_matches_reference(mapping, angles)
+
+    @SETTINGS
+    @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+           f0_lo=st.floats(1.0, 1e4), f0_width=st.floats(1e-3, 1e4), data=st.data())
+    def test_bit_equal_on_drawn_mappings(self, lo, width, f0_lo, f0_width, data):
+        mapping = F0Mapping(angle_min_deg=lo, angle_max_deg=lo + width,
+                            f0_min_hz=f0_lo, f0_max_hz=f0_lo + f0_width)
+        angles = data.draw(st.lists(st.one_of(st.floats(lo - 2 * width, lo + 2 * width),
+                                              st.sampled_from(self.specials(mapping))),
+                                    min_size=1, max_size=40))
+        self.assert_matches_reference(mapping, angles)
+
+
+class TestLabelClasses:
+    # ratio below one (150 N), one (the calibrated default) and above one
+    # (40 N), where the activation that holds an angle is clamped to 1
+    ARMS = [ArmModel(), ArmModel(max_muscle_force_n=150.0), ArmModel(max_muscle_force_n=40.0)]
+
+    @staticmethod
+    def tie_angles(arm) -> np.ndarray:
+        """Each angle whose activation lies on a class-rounding tie, and 50
+        nextafter steps to either side of it."""
+        ratio = arm.gravity_torque_max_nm / (arm.max_muscle_force_n * arm.moment_arm_m)
+        ties = [math.degrees(math.asin((k + 0.5) / 10 / ratio)) for k in range(10)
+                if (k + 0.5) / 10 / ratio <= 1.0]
+        out = []
+        for t in ties:
+            down = up = t
+            out.append(t)
+            for _ in range(50):
+                down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+                out += [down, up]
+        return np.clip(out, arm.angle_min_deg, arm.angle_max_deg)
+
+    def assert_matches_reference(self, arm, angles):
+        want = derive_labels_reference(arm, angles)
+        assert label_classes(arm, angles).tolist() == want
+        assert [c.index for c in derive_labels(arm, AngleTrajectory(angles))] == want
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_rounding_ties(self, arm):
+        angles = self.tie_angles(arm)
+        assert len(angles) > 100
+        self.assert_matches_reference(arm, angles)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    @SETTINGS
+    @given(angles=st.lists(st.floats(0.0, 90.0), max_size=60))
+    def test_random_angles(self, arm, angles):
+        self.assert_matches_reference(arm, np.array(angles, dtype=float))
+
+
+@SETTINGS
+@given(n=st.integers(1, 3000))
+@example(n=1)
+@example(n=2)
+@example(n=3000)
+def test_ramp_classes_match_scalar_ramp(n):
+    assert [c.index for c in ramp_classes(n)] == ramp_classes_reference(n)
 
 
 class TestCsvRoundTrip:
