@@ -126,68 +126,62 @@ def class_angles(model: ArmModel) -> np.ndarray:
     return np.array([equilibrium_angle(model, k / 10.0) for k in range(1, 11)])
 
 
-def _clamp_state(model: ArmModel, theta: float, omega: float) -> tuple[float, float]:
-    # inelastic stop: zero only the velocity component into the limit
-    lo = math.radians(model.angle_min_deg)
-    hi = math.radians(model.angle_max_deg)
-    if theta < lo:
-        theta = lo
-        if omega < 0.0:
-            omega = 0.0
-    elif theta > hi:
-        theta = hi
-        if omega > 0.0:
-            omega = 0.0
-    return theta, omega
+def _stepper(model: ArmModel, sub_dt_s: float):
+    """The RK4 integrator, set up once per simulation.
 
-
-def _integrate_control_step(
-    model: ArmModel, theta: float, omega: float, activation: float,
-    sub_dt_s: float, n_sub: int,
-) -> tuple[float, float]:
-    """RK4 over one 0.01 s control step with the activation held constant."""
-    inertia = model.inertia_kgm2
-    muscle = activation * model.max_muscle_force_n * model.moment_arm_m
-    grav = model.gravity_torque_max_nm
-    b = model.damping_nms
-    dt = sub_dt_s
-
-    def accel(th: float, om: float) -> float:
-        return (muscle - grav * math.sin(th) - b * om) / inertia
-
-    try:
-        for _ in range(n_sub):
-            k1t = omega
-            k1w = accel(theta, omega)
-            k2t = omega + 0.5 * dt * k1w
-            k2w = accel(theta + 0.5 * dt * k1t, omega + 0.5 * dt * k1w)
-            k3t = omega + 0.5 * dt * k2w
-            k3w = accel(theta + 0.5 * dt * k2t, omega + 0.5 * dt * k2w)
-            k4t = omega + dt * k3w
-            k4w = accel(theta + dt * k3t, omega + dt * k3w)
-            theta += dt * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
-            omega += dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
-            theta, omega = _clamp_state(model, theta, omega)
-    except (OverflowError, ValueError):
-        # math.sin of an infinite angle, or an overflowing torque
-        raise FloatingPointError("simulation state left the representable range") from None
-    return theta, omega
-
-
-def _substeps(sub_dt_s: float) -> int:
+    Returns ``(step, clamp)``. ``step(theta, omega, activation)`` advances
+    the state (rad, rad/s) over one 0.01 s control step of sub-steps
+    sub_dt_s with the activation held constant. ``clamp(theta, omega)`` is
+    the inelastic stop applied after every sub-step: the angle is clamped
+    and only the velocity component into the limit is zeroed.
+    """
     if not sub_dt_s > 0:
         raise ValueError("sub_dt_s must be positive")
     n_sub = round(CONTROL_DT_S / sub_dt_s)
     if n_sub < 1 or abs(n_sub * sub_dt_s - CONTROL_DT_S) > 1e-12:
         raise ValueError(f"sub_dt_s={sub_dt_s} does not divide the {CONTROL_DT_S} s control step")
-    return n_sub
+    inertia, grav, b = model.inertia_kgm2, model.gravity_torque_max_nm, model.damping_nms
+    fmax, r, dt = model.max_muscle_force_n, model.moment_arm_m, sub_dt_s
+    lo, hi = math.radians(model.angle_min_deg), math.radians(model.angle_max_deg)
+
+    def clamp(theta: float, omega: float) -> tuple[float, float]:
+        if theta < lo:
+            return lo, (0.0 if omega < 0.0 else omega)
+        if theta > hi:
+            return hi, (0.0 if omega > 0.0 else omega)
+        return theta, omega
+
+    def step(theta: float, omega: float, activation: float) -> tuple[float, float]:
+        muscle = activation * fmax * r
+
+        def accel(th: float, om: float) -> float:
+            return (muscle - grav * math.sin(th) - b * om) / inertia
+
+        try:
+            for _ in range(n_sub):
+                k1t = omega
+                k1w = accel(theta, omega)
+                k2t = omega + 0.5 * dt * k1w
+                k2w = accel(theta + 0.5 * dt * k1t, k2t)
+                k3t = omega + 0.5 * dt * k2w
+                k3w = accel(theta + 0.5 * dt * k2t, k3t)
+                k4t = omega + dt * k3w
+                k4w = accel(theta + dt * k3t, k4t)
+                theta += dt * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
+                omega += dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
+                theta, omega = clamp(theta, omega)
+        except (OverflowError, ValueError):
+            # math.sin of an infinite angle, or an overflowing torque
+            raise FloatingPointError("simulation state left the representable range") from None
+        return theta, omega
+
+    return step, clamp
 
 
 def forward_states(
     model: ArmModel,
     act: ActivationTrajectory,
     theta0_deg: float = 0.0,
-    omega0_degps: float = 0.0,
     sub_dt_s: float = 0.001,
 ) -> tuple[AngleTrajectory, np.ndarray]:
     """Like forward_dynamics but also returns the angular velocity.
@@ -197,14 +191,12 @@ def forward_states(
     """
     if len(act) == 0:
         raise ValueError("activation trajectory is empty")
-    n_sub = _substeps(sub_dt_s)
-    theta = math.radians(theta0_deg)
-    omega = math.radians(omega0_degps)
-    theta, omega = _clamp_state(model, theta, omega)
+    step, clamp = _stepper(model, sub_dt_s)
+    theta, omega = clamp(math.radians(theta0_deg), 0.0)
     angles = np.empty(len(act))
     omegas = np.empty(len(act))
     for i, a in enumerate(act.levels):
-        theta, omega = _integrate_control_step(model, theta, omega, a, sub_dt_s, n_sub)
+        theta, omega = step(theta, omega, a)
         if not (math.isfinite(theta) and math.isfinite(omega)):
             raise FloatingPointError(f"simulation diverged at control step {i}")
         angles[i] = math.degrees(theta)
@@ -216,7 +208,6 @@ def forward_dynamics(
     model: ArmModel,
     act: ActivationTrajectory,
     theta0_deg: float = 0.0,
-    omega0_degps: float = 0.0,
     sub_dt_s: float = 0.001,
 ) -> AngleTrajectory:
     """Simulate the elbow response to an activation trajectory.
@@ -225,14 +216,14 @@ def forward_dynamics(
     ----------
     model : arm parameters.
     act : activation per 0.01 s control step (zero-order hold).
-    theta0_deg, omega0_degps : initial angle and angular velocity.
+    theta0_deg : initial angle; the arm starts at rest there.
     sub_dt_s : RK4 sub-step; must divide 0.01 s.
 
     Returns the angle at the end of each control step, clamped to the
     joint limits. Raises FloatingPointError if the state leaves the
     representable range (divergence).
     """
-    return forward_states(model, act, theta0_deg, omega0_degps, sub_dt_s)[0]
+    return forward_states(model, act, theta0_deg, sub_dt_s)[0]
 
 
 _ANGLE_LIMIT_SLACK_DEG = 1e-9
@@ -277,7 +268,6 @@ def inverse_tracking(
     model: ArmModel,
     target: AngleTrajectory,
     theta0_deg: Optional[float] = None,
-    omega0_degps: float = 0.0,
     sub_dt_s: float = 0.001,
 ) -> tuple[ActivationTrajectory, float]:
     """Greedy horizon-1 tracking over the ten activation classes.
@@ -285,8 +275,8 @@ def inverse_tracking(
     At each control step every class is simulated one step ahead from the
     current state and the one minimizing the squared angle-tracking error
     is chosen (ties toward the lower class). The simulated state advances
-    with the chosen class. The initial state defaults to rest at the first
-    target angle.
+    with the chosen class. The arm starts at rest at theta0_deg, by
+    default the first target angle.
 
     Returns (class trajectory, summed squared tracking error in deg^2).
     """
@@ -294,10 +284,9 @@ def inverse_tracking(
         raise ValueError("target trajectory is empty")
     for theta in target.angles_deg:
         _check_angle_in_limits(model, float(theta))
-    n_sub = _substeps(sub_dt_s)
-    theta = math.radians(theta0_deg if theta0_deg is not None else float(target.angles_deg[0]))
-    omega = math.radians(omega0_degps)
-    theta, omega = _clamp_state(model, theta, omega)
+    step, clamp = _stepper(model, sub_dt_s)
+    start = theta0_deg if theta0_deg is not None else float(target.angles_deg[0])
+    theta, omega = clamp(math.radians(start), 0.0)
 
     chosen: list[float] = []
     total_loss = 0.0
@@ -305,7 +294,7 @@ def inverse_tracking(
         best = None  # (squared error, level, next state)
         for k in range(1, 11):
             level = k / 10.0
-            th, om = _integrate_control_step(model, theta, omega, level, sub_dt_s, n_sub)
+            th, om = step(theta, omega, level)
             err = (math.degrees(th) - float(goal_deg)) ** 2
             if best is None or err < best[0]:
                 best = (err, level, th, om)

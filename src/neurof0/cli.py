@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ import numpy as np
 from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_classes
 from .datagen import SynthConfig, dataset_to_recording, generate_dataset, generate_movement
 from .eeg import (
+    ANGLE_COLUMN,
+    _csv_rows,
     check_kinematics_length,
     load_recording_csv,
     read_column,
@@ -125,8 +128,10 @@ def _load_labeled(path, cfg: PipelineConfig):
     """(X, y, (train rows, test rows)): the recording's (n, 100) frame matrix,
     the class index 1..10 of each frame and the configured split."""
     rec = load_recording_csv(path)
-    if rec.kinematics is None:
-        raise DataError(f"{path}: no angle_deg column; labels cannot be derived")
+    if rec.kinematics is None:  # no angle column, or one with every cell empty
+        with closing(_csv_rows(path)) as rows:
+            missing = "values" if ANGLE_COLUMN in next(rows) else "column"
+        raise DataError(f"{path}: no {ANGLE_COLUMN} {missing}; labels cannot be derived")
     X = window_matrix(rec)
     check_kinematics_length(rec, path)
     y = label_classes(cfg.arm, rec.kinematics)

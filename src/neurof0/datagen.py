@@ -35,6 +35,7 @@ from .eeg import (
     SAMPLES_PER_FRAME,
     class_indices,
     nearest_classes,
+    window_frames,
 )
 
 
@@ -89,11 +90,7 @@ def generate_dataset(cfg: SynthConfig) -> LabeledDataset:
     """
     rng = np.random.default_rng(cfg.seed)
     classes = (np.arange(cfg.n_samples) % 10 + 1)[rng.permutation(cfg.n_samples)]
-    samples = _noisy_channels(cfg, _clean_signal(cfg, classes), rng)
-    frames = [
-        EegFrame(values=samples[:, p * SAMPLES_PER_FRAME:(p + 1) * SAMPLES_PER_FRAME], index=p)
-        for p in range(cfg.n_samples)
-    ]
+    frames = window_frames(EegRecording(_noisy_channels(cfg, _clean_signal(cfg, classes), rng)))
     labels = [ActivationClass(k) for k in classes.tolist()]
     meta = {"generator": "synthetic", "seed": str(cfg.seed), "snr_db": str(cfg.snr_db)}
     return LabeledDataset(frames=frames, labels=labels, metadata=meta)

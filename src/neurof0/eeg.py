@@ -74,8 +74,12 @@ class ActivationClass:
 
 
 def class_indices(seq) -> np.ndarray:
-    """ActivationClass objects or integers, whatever operator.index accepts,
-    as an int64 vector of class indices 1..10; anything else raises ValueError."""
+    """ActivationClass objects or integers, whatever operator.index accepts
+    except bool, as an int64 vector of class indices 1..10; anything else
+    raises ValueError."""
+    seq = list(seq)
+    if any(isinstance(c, bool) for c in seq):
+        raise ValueError("class indices must be integers, not bool")
     try:
         out = [operator.index(c) for c in seq]
     except TypeError as exc:
@@ -210,9 +214,9 @@ def load_recording_csv(path) -> EegRecording:
     10-row (0.01 s) window; empty cells are skipped and the non-empty
     values become the kinematics series in row order.
 
-    Raises DataError naming the row on a wrong channel count, ragged rows,
-    a non-numeric or non-finite cell, or an angle off a window's first
-    row. A missing file raises FileNotFoundError.
+    Raises DataError on a wrong channel count or no data rows and, naming
+    the row, on ragged rows, a non-numeric or non-finite cell, or an angle
+    off a window's first row. A missing file raises FileNotFoundError.
     """
     with closing(_csv_rows(path)) as rows:
         header = next(rows)
@@ -251,6 +255,8 @@ def load_recording_csv(path) -> EegRecording:
                 _cell_value(cell, path, row_no, name)
             raise
 
+    if not flat.size:
+        raise DataError(f"{path}: no data rows")
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:  # _cell_value raises, naming the first bad cell
         row, col = divmod(int(bad[0]), N_CHANNELS)

@@ -216,3 +216,89 @@ def evaluate_static_reference(cfg, pred, truth):
         f0_rmse_hz=rmse(pred_f0, true_f0),
         n_test=len(pred),
     )
+
+
+# Reference for neurof0.arm's RK4 stepper: the joint stop and one control
+# step as free functions that read the model's constants on every call.
+
+def _clamp_state(model, theta: float, omega: float) -> tuple[float, float]:
+    # inelastic stop: zero only the velocity component into the limit
+    lo = math.radians(model.angle_min_deg)
+    hi = math.radians(model.angle_max_deg)
+    if theta < lo:
+        theta = lo
+        if omega < 0.0:
+            omega = 0.0
+    elif theta > hi:
+        theta = hi
+        if omega > 0.0:
+            omega = 0.0
+    return theta, omega
+
+
+def _integrate_control_step(
+    model, theta: float, omega: float, activation: float,
+    sub_dt_s: float, n_sub: int,
+) -> tuple[float, float]:
+    """RK4 over one 0.01 s control step with the activation held constant."""
+    inertia = model.inertia_kgm2
+    muscle = activation * model.max_muscle_force_n * model.moment_arm_m
+    grav = model.gravity_torque_max_nm
+    b = model.damping_nms
+    dt = sub_dt_s
+
+    def accel(th: float, om: float) -> float:
+        return (muscle - grav * math.sin(th) - b * om) / inertia
+
+    try:
+        for _ in range(n_sub):
+            k1t = omega
+            k1w = accel(theta, omega)
+            k2t = omega + 0.5 * dt * k1w
+            k2w = accel(theta + 0.5 * dt * k1t, omega + 0.5 * dt * k1w)
+            k3t = omega + 0.5 * dt * k2w
+            k3w = accel(theta + 0.5 * dt * k2t, omega + 0.5 * dt * k2w)
+            k4t = omega + dt * k3w
+            k4w = accel(theta + dt * k3t, omega + dt * k3w)
+            theta += dt * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
+            omega += dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
+            theta, omega = _clamp_state(model, theta, omega)
+    except (OverflowError, ValueError):
+        # math.sin of an infinite angle, or an overflowing torque
+        raise FloatingPointError("simulation state left the representable range") from None
+    return theta, omega
+
+
+def forward_states_reference(model, levels, theta0_deg: float, sub_dt_s: float):
+    """(angles, omegas) in degrees at the end of each control step, from
+    rest at theta0_deg, through the reference helpers."""
+    n_sub = round(0.01 / sub_dt_s)
+    theta, omega = _clamp_state(model, math.radians(theta0_deg), 0.0)
+    angles, omegas = [], []
+    for a in levels:
+        theta, omega = _integrate_control_step(model, theta, omega, a, sub_dt_s, n_sub)
+        angles.append(math.degrees(theta))
+        omegas.append(math.degrees(omega))
+    return np.array(angles), np.array(omegas)
+
+
+def inverse_tracking_reference(model, target_deg, theta0_deg, sub_dt_s: float):
+    """(levels, loss) of greedy horizon-1 tracking through the reference
+    helpers: per step, the class whose one-step angle is nearest the target
+    (ties to the lower class), starting from rest at theta0_deg or, when
+    that is None, at the first target angle."""
+    n_sub = round(0.01 / sub_dt_s)
+    start = theta0_deg if theta0_deg is not None else float(target_deg[0])
+    theta, omega = _clamp_state(model, math.radians(start), 0.0)
+    chosen, total_loss = [], 0.0
+    for goal_deg in target_deg:
+        best = None
+        for k in range(1, 11):
+            th, om = _integrate_control_step(model, theta, omega, k / 10.0, sub_dt_s, n_sub)
+            err = (math.degrees(th) - float(goal_deg)) ** 2
+            if best is None or err < best[0]:
+                best = (err, k / 10.0, th, om)
+        total_loss += best[0]
+        chosen.append(best[1])
+        theta, omega = best[2], best[3]
+    return tuple(chosen), total_loss

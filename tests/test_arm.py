@@ -169,7 +169,7 @@ class TestInverseQuasistatic:
         assert derive_labels(ArmModel(), AngleTrajectory(angles_deg=[])) == []
 
 
-def tracking_oracle(model, target, theta0_deg, omega0_degps=0.0):
+def tracking_oracle(model, target, theta0_deg):
     """Independent enumeration: re-simulate the whole chosen prefix plus each
     candidate class through the public forward_dynamics at every step."""
     chosen = []
@@ -179,7 +179,7 @@ def tracking_oracle(model, target, theta0_deg, omega0_degps=0.0):
             candidate = chosen + [k / 10.0]
             angles = forward_dynamics(
                 model, ActivationTrajectory(levels=candidate),
-                theta0_deg=theta0_deg, omega0_degps=omega0_degps,
+                theta0_deg=theta0_deg,
             )
             err = (angles.angles_deg[-1] - float(target.angles_deg[t])) ** 2
             if best is None or err < best[0]:

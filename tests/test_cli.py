@@ -123,6 +123,24 @@ class TestDataErrors:
         assert f"nf0: error: {src}: {match}" in capsys.readouterr().err
 
 
+    def test_header_only_recording_named(self, tmp_path, capsys):
+        src = tmp_path / "empty.csv"
+        src.write_text(",".join(eeg.DEFAULT_CHANNELS) + "\n")
+        assert run("--out", str(tmp_path), "decode", "--data", str(src)) == 2
+        assert f"nf0: error: {src}: no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("angle, missing", [(False, "column"), (True, "values")])
+    def test_no_angles_named(self, tmp_path, capsys, command, angle, missing):
+        src = tmp_path / "r.csv"
+        rows = [",".join(eeg.DEFAULT_CHANNELS) + (",angle_deg" if angle else "")]
+        rows += [",".join(["1.0"] * 10) + ("," if angle else "") for _ in range(20)]
+        src.write_text("\n".join(rows) + "\n")
+        assert run("--out", str(tmp_path / "run"), command, "--data", str(src)) == 2
+        err = capsys.readouterr().err
+        assert f"nf0: error: {src}: no angle_deg {missing}; labels cannot be derived" in err
+
+
 class TestGenData:
     def test_dataset_file(self, dataset_csv):
         rec = load_recording_csv(dataset_csv)

@@ -300,6 +300,13 @@ BAD_TEXT_ROWS = [
 
 
 class TestCsvBoundaries:
+    @pytest.mark.parametrize("angle", [False, True])
+    def test_header_only_rejected(self, tmp_path, angle):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(DEFAULT_CHANNELS) + (",angle_deg" if angle else "") + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: no data rows")):
+            load_recording_csv(path)
+
     def test_angle_off_window_start_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         rows = [["1.0"] * 10 + [""] for _ in range(20)]

@@ -162,6 +162,7 @@ class TestTraining:
         ((2, 100), [1, 2, 3], "feature matrix"),
         ((20, 100), np.full(20, 1.5), "class indices"),
         ((20, 100), ["3"] * 20, "class indices"),
+        ((20, 100), [True] * 20, "class indices"),
     ])
     def test_fit_rejects_bad_inputs(self, shape, labels, match):
         with pytest.raises(ValueError, match=match):

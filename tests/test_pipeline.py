@@ -231,7 +231,7 @@ class TestEvaluateStatic:
                                    [ActivationClass(k) for k in truth])
         assert report.to_json() == expected.to_json()
 
-    @pytest.mark.parametrize("pred", [[1.5, 2.0], ["3", "3"], [0, 3], [3, 11]])
+    @pytest.mark.parametrize("pred", [[1.5, 2.0], ["3", "3"], [0, 3], [3, 11], [True, True]])
     def test_rejects_non_classes(self, pred):
         with pytest.raises(ValueError, match="class indices"):
             evaluate_static(PipelineConfig(), pred, [3, 3])

@@ -1,5 +1,7 @@
-"""Property tests of the array-native paths, the split search and the input boundaries."""
+"""Property tests of the array-native paths, the split search, the RK4
+stepper and the input boundaries."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -15,17 +17,29 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    _integrate_control_step,
     best_split_reference,
     derive_labels_reference,
     evaluate_static_reference,
     forest_votes_reference,
+    forward_states_reference,
+    inverse_tracking_reference,
     map_angle_to_f0_reference,
     ramp_classes_reference,
     snap_to_class_angle_reference,
 )
 
 from neurof0 import forest
-from neurof0.arm import AngleTrajectory, ArmModel, derive_labels, equilibrium_angle, label_classes
+from neurof0.arm import (
+    ActivationTrajectory,
+    AngleTrajectory,
+    ArmModel,
+    derive_labels,
+    equilibrium_angle,
+    forward_states,
+    inverse_tracking,
+    label_classes,
+)
 from neurof0.datagen import SynthConfig, generate_dataset, ramp_classes
 from neurof0.cli import cli_main
 from neurof0.eeg import ActivationClass, EegRecording, load_recording_csv, write_recording_csv
@@ -244,6 +258,83 @@ class TestLabelClasses:
 @example(n=3000)
 def test_ramp_classes_match_scalar_ramp(n):
     assert [c.index for c in ramp_classes(n)] == ramp_classes_reference(n)
+
+
+def stop_at_turn(arm, level: float, theta0_deg: float, sub_dt_s: float):
+    """(arm, control steps): arm with one joint limit placed inside the
+    first sub-step that reverses the swing from rest at theta0_deg under a
+    constant level, so that sub-step passes the stop while its velocity
+    already points away from it; None if no sub-step does so within 2 s."""
+    wide = dataclasses.replace(arm, angle_min_deg=-180.0, angle_max_deg=180.0)
+    theta, omega = math.radians(theta0_deg), 0.0
+    for j in range(round(2.0 / sub_dt_s)):
+        th, om = _integrate_control_step(wide, theta, omega, level, sub_dt_s, 1)
+        if omega < 0.0 < om and th < theta:  # a lower turn below the last angle
+            limits = {"angle_min_deg": math.degrees(0.5 * (theta + th))}
+        elif om < 0.0 < omega and th > theta:  # an upper turn above it
+            limits = {"angle_max_deg": math.degrees(0.5 * (theta + th))}
+        else:
+            theta, omega = th, om
+            continue
+        return dataclasses.replace(wide, **limits), math.ceil((j + 1) * sub_dt_s / 0.01) + 3
+    return None
+
+
+class TestStepper:
+    """forward_states and inverse_tracking against the reference RK4 in
+    tests/helpers.py, compared bit for bit."""
+
+    # the default arm, a saturating 150 N arm, a 40 N arm, no damping
+    ARMS = [ArmModel(), ArmModel(max_muscle_force_n=150.0),
+            ArmModel(max_muscle_force_n=40.0), ArmModel(damping_nms=0.0)]
+    LIMITS = [(0.0, 90.0), (-0.0, 90.0), (-0.0, 45.0), (-30.0, 120.0), (20.0, 60.0)]
+    SUB_DT = [1e-3, 2e-3, 5e-3, 1e-4]
+    LEVELS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([k / 10 for k in range(11)]))
+
+    @staticmethod
+    def assert_forward_matches(arm, levels, theta0_deg, sub_dt_s):
+        angles, omegas = forward_states(arm, ActivationTrajectory(levels), theta0_deg, sub_dt_s)
+        want_angles, want_omegas = forward_states_reference(arm, levels, theta0_deg, sub_dt_s)
+        assert bits(angles.angles_deg) == bits(want_angles)
+        assert bits(omegas) == bits(want_omegas)
+
+    def draw_arm(self, data):
+        lo, hi = data.draw(st.sampled_from(self.LIMITS))
+        arm = data.draw(st.sampled_from(self.ARMS))
+        return dataclasses.replace(arm, angle_min_deg=lo, angle_max_deg=hi)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_forward_states(self, data):
+        arm = self.draw_arm(data)
+        # starts inside and outside the limits
+        theta0 = data.draw(st.floats(arm.angle_min_deg - 60.0, arm.angle_max_deg + 60.0))
+        sub_dt = data.draw(st.sampled_from(self.SUB_DT))
+        levels = data.draw(st.lists(self.LEVELS, min_size=1, max_size=12 if sub_dt < 1e-3 else 40))
+        self.assert_forward_matches(arm, levels, theta0, sub_dt)
+
+    @SETTINGS
+    @given(arm=st.sampled_from(ARMS), level=LEVELS, theta0=st.floats(-80.0, 80.0),
+           sub_dt=st.sampled_from(SUB_DT[:3]))
+    def test_forward_states_at_a_turning_stop(self, arm, level, theta0, sub_dt):
+        case = stop_at_turn(arm, level, theta0, sub_dt)
+        if case is not None:
+            arm, n_steps = case
+            self.assert_forward_matches(arm, [level] * n_steps, theta0, sub_dt)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_inverse_tracking(self, data):
+        arm = self.draw_arm(data)
+        lo, hi = arm.angle_min_deg, arm.angle_max_deg
+        sub_dt = data.draw(st.sampled_from(self.SUB_DT))
+        target = data.draw(st.lists(st.floats(lo, hi), min_size=1,
+                                    max_size=4 if sub_dt < 1e-3 else 12))
+        theta0 = data.draw(st.one_of(st.none(), st.floats(lo - 60.0, hi + 60.0)))
+        act, loss = inverse_tracking(arm, AngleTrajectory(target), theta0, sub_dt)
+        want_levels, want_loss = inverse_tracking_reference(arm, target, theta0, sub_dt)
+        assert bits(act.levels) == bits(want_levels)
+        assert bits([loss]) == bits([want_loss])
 
 
 class TestCsvRoundTrip:
