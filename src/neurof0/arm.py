@@ -61,10 +61,10 @@ class ArmModel:
         """Gravity torque at 90 degrees, m * g * L / 2."""
         return self.forearm_mass_kg * self.gravity_ms2 * self.forearm_length_m / 2.0
 
-    def is_calibrated(self, rel_tol: float = 1e-9) -> bool:
+    def is_calibrated(self) -> bool:
         """True when full activation exactly balances gravity at 90 degrees."""
         muscle = self.max_muscle_force_n * self.moment_arm_m
-        return math.isclose(muscle, self.gravity_torque_max_nm, rel_tol=rel_tol)
+        return math.isclose(muscle, self.gravity_torque_max_nm, rel_tol=1e-9)
 
 
 @dataclass(frozen=True)

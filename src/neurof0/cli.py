@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_classes
-from .datagen import SynthConfig, dataset_to_recording, generate_dataset, generate_movement
+from .datagen import SynthConfig, _labeled_recording, generate_movement
 from .eeg import (
     ANGLE_COLUMN,
     _csv_rows,
-    check_kinematics_length,
     load_recording_csv,
     read_column,
     split_indices,
@@ -60,8 +59,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="write a synthetic dataset or movement CSV")
     p.add_argument("--n", type=int, default=500, help="number of labeled frames")
     p.add_argument("--snr-db", type=float, default=40.0, help="per-frame SNR in dB (inf for noiseless)")
-    p.add_argument("--carrier-hz", type=float, default=20.0)
-    p.add_argument("--amp-per-class", type=float, default=5.0)
     p.add_argument("--movement-steps", type=int, metavar="N",
                    help="write an N-step movement recording instead of a dataset")
 
@@ -133,7 +130,6 @@ def _load_labeled(path, cfg: PipelineConfig):
             missing = "values" if ANGLE_COLUMN in next(rows) else "column"
         raise DataError(f"{path}: no {ANGLE_COLUMN} {missing}; labels cannot be derived")
     X = window_matrix(rec)
-    check_kinematics_length(rec, path)
     y = label_classes(cfg.arm, rec.kinematics)
     return X, y, split_indices(len(y), cfg.train_fraction, cfg.split_seed)
 
@@ -142,19 +138,16 @@ def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
     synth_cfg = SynthConfig(
         n_samples=max(args.n, 10) if args.movement_steps is not None else args.n,
         snr_db=args.snr_db, seed=cfg.split_seed,
-        carrier_hz=args.carrier_hz, amp_per_class=args.amp_per_class,
     )
-    out = _out_dir(args, cfg)
     if args.movement_steps is not None:
         rec, _classes = generate_movement(synth_cfg, args.movement_steps, model=cfg.arm)
-        path = out / "movement.csv"
+        name = "movement.csv"
     else:
-        ds = generate_dataset(synth_cfg)
-        rec = dataset_to_recording(ds, model=cfg.arm)
-        path = out / "dataset.csv"
+        rec, _classes = _labeled_recording(synth_cfg, cfg.arm)
+        name = "dataset.csv"
+    path = _out_dir(args, cfg) / name
     write_recording_csv(rec, path)
-    print(f"wrote {path} ({rec.n_samples} samples, "
-          f"{len(rec.kinematics) if rec.kinematics is not None else 0} kinematic values)")
+    print(f"wrote {path} ({rec.n_samples} samples, {len(rec.kinematics)} kinematic values)")
     return 0
 
 

@@ -60,24 +60,33 @@ class SynthConfig:
             raise ValueError("snr_db must be a number (use inf for noiseless)")
 
 
-def _clean_signal(cfg: SynthConfig, classes) -> np.ndarray:
-    """Noiseless single-channel signal for per-frame classes (class_indices)."""
-    amps = np.repeat(class_indices(classes) * cfg.amp_per_class, SAMPLES_PER_FRAME)
+def _eeg(cfg: SynthConfig, classes, rng: np.random.Generator) -> np.ndarray:
+    """The class signal of per-frame classes (class_indices) on all channels,
+    plus noise scaled per frame. Raises ValueError, naming snr_db and
+    amp_per_class, when they make any sample non-finite."""
     t = np.arange(len(classes) * SAMPLES_PER_FRAME) / SAMPLE_RATE_HZ
-    return amps * np.sin(2.0 * math.pi * cfg.carrier_hz * t)
-
-
-def _noisy_channels(cfg: SynthConfig, clean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Replicate the signal on all channels and add per-frame-scaled noise."""
-    out = np.tile(clean, (N_CHANNELS, 1))
-    if math.isinf(cfg.snr_db):
-        return out
-    power = clean.reshape(-1, SAMPLES_PER_FRAME)
-    frame_power = np.mean(power**2, axis=1)
-    sigma = np.sqrt(frame_power / 10.0 ** (cfg.snr_db / 10.0))
-    per_sample_sigma = np.repeat(sigma, SAMPLES_PER_FRAME)
-    out += rng.normal(0.0, 1.0, size=out.shape) * per_sample_sigma
+    with np.errstate(all="ignore"):
+        amps = np.repeat(class_indices(classes) * cfg.amp_per_class, SAMPLES_PER_FRAME)
+        clean = amps * np.sin(2.0 * math.pi * cfg.carrier_hz * t)
+        out = np.tile(clean, (N_CHANNELS, 1))
+        if cfg.snr_db != math.inf:  # -inf, all noise, is refused below
+            frame_power = np.mean(clean.reshape(-1, SAMPLES_PER_FRAME) ** 2, axis=1)
+            sigma = np.sqrt(frame_power / np.float64(10.0) ** (cfg.snr_db / 10.0))
+            out += rng.normal(0.0, 1.0, size=out.shape) * np.repeat(sigma, SAMPLES_PER_FRAME)
+    if not np.isfinite(out).all():
+        raise ValueError(f"synthetic EEG is not finite at snr_db={cfg.snr_db}, "
+                         f"amp_per_class={cfg.amp_per_class}")
     return out
+
+
+def _labeled_recording(cfg: SynthConfig, model: ArmModel) -> tuple[EegRecording, np.ndarray]:
+    """The dataset of generate_dataset as one recording, and the int64 class
+    index 1..10 of each frame. Each frame's angle is its class's equilibrium
+    angle, as in dataset_to_recording."""
+    rng = np.random.default_rng(cfg.seed)
+    classes = (np.arange(cfg.n_samples) % 10 + 1)[rng.permutation(cfg.n_samples)]
+    kinematics = class_angles(model)[classes - 1]
+    return EegRecording(_eeg(cfg, classes, rng), kinematics=kinematics), classes
 
 
 def generate_dataset(cfg: SynthConfig) -> LabeledDataset:
@@ -88,12 +97,10 @@ def generate_dataset(cfg: SynthConfig) -> LabeledDataset:
     from one continuous synthetic recording, so frame index equals
     position.
     """
-    rng = np.random.default_rng(cfg.seed)
-    classes = (np.arange(cfg.n_samples) % 10 + 1)[rng.permutation(cfg.n_samples)]
-    frames = window_frames(EegRecording(_noisy_channels(cfg, _clean_signal(cfg, classes), rng)))
+    rec, classes = _labeled_recording(cfg, ArmModel())
     labels = [ActivationClass(k) for k in classes.tolist()]
     meta = {"generator": "synthetic", "seed": str(cfg.seed), "snr_db": str(cfg.snr_db)}
-    return LabeledDataset(frames=frames, labels=labels, metadata=meta)
+    return LabeledDataset(frames=window_frames(rec), labels=labels, metadata=meta)
 
 
 def ramp_classes(n_steps: int) -> list[ActivationClass]:
@@ -120,8 +127,7 @@ def generate_movement(
     if model is None:
         model = ArmModel()
     classes = ramp_classes(n_steps)
-    rng = np.random.default_rng(cfg.seed)
-    samples = _noisy_channels(cfg, _clean_signal(cfg, classes), rng)
+    samples = _eeg(cfg, classes, np.random.default_rng(cfg.seed))
     angles = forward_dynamics(model, ActivationTrajectory.from_classes(classes))
     rec = EegRecording(samples=samples, kinematics=angles.angles_deg)
     return rec, classes

@@ -214,9 +214,10 @@ def load_recording_csv(path) -> EegRecording:
     10-row (0.01 s) window; empty cells are skipped and the non-empty
     values become the kinematics series in row order.
 
-    Raises DataError on a wrong channel count or no data rows and, naming
-    the row, on ragged rows, a non-numeric or non-finite cell, or an angle
-    off a window's first row. A missing file raises FileNotFoundError.
+    Raises DataError on a wrong channel count, no data rows or other than
+    one angle per whole window (check_kinematics_length) and, naming the
+    row, on ragged rows, a non-numeric or non-finite cell, or an angle off
+    a window's first row. A missing file raises FileNotFoundError.
     """
     with closing(_csv_rows(path)) as rows:
         header = next(rows)
@@ -263,7 +264,9 @@ def load_recording_csv(path) -> EegRecording:
         _cell_value(repr(float(flat[bad[0]])), path, row + 2, channel_names[col])
     samples = flat.reshape(-1, N_CHANNELS).T
     kinematics = np.array(angles, dtype=float) if angles else None
-    return EegRecording(samples=samples, channel_names=channel_names, kinematics=kinematics)
+    rec = EegRecording(samples=samples, channel_names=channel_names, kinematics=kinematics)
+    check_kinematics_length(rec, path)
+    return rec
 
 
 def _cell_value(cell: str, path, row_no: int, column: str) -> float:

@@ -302,3 +302,49 @@ def inverse_tracking_reference(model, target_deg, theta0_deg, sub_dt_s: float):
         chosen.append(best[1])
         theta, omega = best[2], best[3]
     return tuple(chosen), total_loss
+
+
+# Reference for neurof0.datagen's dataset generator: generate_dataset as it
+# was when it built the dataset frame by frame, with the signal and noise
+# helpers it called, kept verbatim.
+
+def _clean_signal(cfg, classes) -> np.ndarray:
+    """Noiseless single-channel signal for per-frame classes (class_indices)."""
+    from neurof0.eeg import SAMPLE_RATE_HZ, SAMPLES_PER_FRAME, class_indices
+
+    amps = np.repeat(class_indices(classes) * cfg.amp_per_class, SAMPLES_PER_FRAME)
+    t = np.arange(len(classes) * SAMPLES_PER_FRAME) / SAMPLE_RATE_HZ
+    return amps * np.sin(2.0 * math.pi * cfg.carrier_hz * t)
+
+
+def _noisy_channels(cfg, clean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Replicate the signal on all channels and add per-frame-scaled noise."""
+    from neurof0.eeg import N_CHANNELS, SAMPLES_PER_FRAME
+
+    out = np.tile(clean, (N_CHANNELS, 1))
+    if math.isinf(cfg.snr_db):
+        return out
+    power = clean.reshape(-1, SAMPLES_PER_FRAME)
+    frame_power = np.mean(power**2, axis=1)
+    sigma = np.sqrt(frame_power / 10.0 ** (cfg.snr_db / 10.0))
+    per_sample_sigma = np.repeat(sigma, SAMPLES_PER_FRAME)
+    out += rng.normal(0.0, 1.0, size=out.shape) * per_sample_sigma
+    return out
+
+
+def generate_dataset_reference(cfg):
+    """Balanced labeled dataset of frames, deterministic given the seed.
+
+    Labels are assigned round-robin over the ten classes (so counts are
+    balanced up to rounding) and then shuffled; frames are cut in order
+    from one continuous synthetic recording, so frame index equals
+    position.
+    """
+    from neurof0.eeg import ActivationClass, EegRecording, LabeledDataset, window_frames
+
+    rng = np.random.default_rng(cfg.seed)
+    classes = (np.arange(cfg.n_samples) % 10 + 1)[rng.permutation(cfg.n_samples)]
+    frames = window_frames(EegRecording(_noisy_channels(cfg, _clean_signal(cfg, classes), rng)))
+    labels = [ActivationClass(k) for k in classes.tolist()]
+    meta = {"generator": "synthetic", "seed": str(cfg.seed), "snr_db": str(cfg.snr_db)}
+    return LabeledDataset(frames=frames, labels=labels, metadata=meta)

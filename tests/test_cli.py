@@ -158,6 +158,29 @@ class TestGenData:
         run("--out", str(b), "--seed", "4", "gen-data", "--n", "50")
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
 
+    def test_dataset_builds_no_frame_objects(self, tmp_path, monkeypatch):
+        argv = ("--seed", "4", "gen-data", "--n", "50")
+        assert run("--out", str(tmp_path / "a"), *argv) == 0
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        for cls in (eeg.EegFrame, eeg.ActivationClass, eeg.LabeledDataset):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        assert run("--out", str(tmp_path / "b"), *argv) == 0
+        assert (tmp_path / "b" / "dataset.csv").read_bytes() == \
+            (tmp_path / "a" / "dataset.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", [("--n", "20"), ("--movement-steps", "20")],
+                             ids=["dataset", "movement"])
+    def test_non_finite_eeg_refused(self, tmp_path, capsys, kind):
+        out = tmp_path / "data"
+        assert run("--out", str(out), "gen-data", *kind, "--snr-db", "-4000") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nf0: error: ") and err.count("\n") == 1
+        assert "snr_db" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, dataset_csv):
@@ -180,7 +203,7 @@ class TestTrainEval:
         for command in ("train", "eval"):
             assert run("--out", str(out), command, "--data", str(dataset_csv)) == 0
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "eval", "decode", "pipeline"])
     def test_kinematics_length_mismatch(self, tmp_path, command, capsys):
         # 105 rows: ten whole windows and a partial one whose first row
         # carries an eleventh angle, which no frame can be labeled with

@@ -149,3 +149,20 @@ class TestDatasetToRecording:
         assert labels == list(ds.labels)
         for fa, fb in zip(frames, ds.frames):
             np.testing.assert_array_equal(fa.values, fb.values)
+
+
+class TestNonFiniteEeg:
+    @pytest.mark.parametrize("make", [lambda cfg: generate_movement(cfg, 20)[0],
+                                      generate_dataset], ids=["movement", "dataset"])
+    def test_overflowing_amplitude_refused(self, make):
+        with pytest.raises(ValueError, match=r"snr_db=inf, amp_per_class=1e\+308"):
+            make(SynthConfig(amp_per_class=1e308, snr_db=NOISELESS))
+
+    def test_minus_infinite_snr_refused(self):
+        with pytest.raises(ValueError, match="snr_db=-inf"):
+            generate_dataset(SynthConfig(n_samples=20, snr_db=-NOISELESS))
+
+    def test_overflowing_snr_is_noiseless(self):
+        loud, _ = generate_movement(SynthConfig(n_samples=10, snr_db=4000.0, seed=2), 20)
+        clean, _ = generate_movement(SynthConfig(n_samples=10, snr_db=NOISELESS, seed=2), 20)
+        np.testing.assert_array_equal(loud.samples, clean.samples)

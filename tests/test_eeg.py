@@ -316,6 +316,17 @@ class TestCsvBoundaries:
         with pytest.raises(DataError, match="row 10"):
             load_recording_csv(path)
 
+    @pytest.mark.parametrize("n_rows, n_angles", [(105, 11), (20, 1), (5, 1)])
+    def test_angle_per_whole_window_or_rejected(self, tmp_path, n_rows, n_angles):
+        path = tmp_path / "r.csv"
+        rows = [["1.0"] * 10 + [""] for _ in range(n_rows)]
+        for w in range(n_angles):
+            rows[10 * w][10] = "10.0"
+        write_csv(path, rows, angle=True)
+        msg = f"{path}: {n_angles} kinematic values for {n_rows // 10} frames"
+        with pytest.raises(DataError, match=re.escape(msg)):
+            load_recording_csv(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_sample_rejected_with_location(self, tmp_path, bad):
         path = tmp_path / "r.csv"

@@ -1,8 +1,9 @@
 """Static checks that the decode and CLI layers keep classes as index vectors.
 
 pipeline.py and cli.py pass activation classes along as one int64 vector of
-class indices 1..10, from predict_batch to the WAV. The per-frame objects and
-the list-returning wrappers exist for the public API only.
+class indices 1..10, from predict_batch to the WAV, and gen-data writes its
+dataset from the generator's arrays. The per-frame objects, the datasets built
+of them and the list-returning wrappers exist for the public API only.
 """
 
 import ast
@@ -13,7 +14,8 @@ import pytest
 from neurof0 import cli, pipeline
 
 OBJECT_APIS = {"ActivationClass", "EegFrame", "derive_labels", "window_frames",
-               "predict_trajectory", "split_dataset", "from_classes"}
+               "predict_trajectory", "split_dataset", "from_classes",
+               "generate_dataset", "dataset_to_recording", "LabeledDataset"}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from neurof0.arm import ActivationTrajectory, AngleTrajectory, derive_labels, forward_dynamics
-from neurof0.datagen import SynthConfig, generate_dataset, generate_movement, _clean_signal, _noisy_channels
+from neurof0.datagen import SynthConfig, generate_dataset, generate_movement, _eeg
 from neurof0.eeg import ActivationClass, EegRecording, window_frames
 from neurof0.errors import DataError, PipelineStageError
 from neurof0.forest import ForestHyperparams, predict_trajectory, train
@@ -186,9 +186,7 @@ class TestRunPipeline:
         # constant class-1.0 EEG for 5 s: decoded F0 must converge to 5150 Hz
         cfg = SynthConfig(n_samples=10, snr_db=NOISELESS, seed=3)
         classes = [ActivationClass(10)] * 500
-        clean = _clean_signal(cfg, classes)
-        samples = _noisy_channels(cfg, clean, np.random.default_rng(0))
-        rec = EegRecording(samples=samples)
+        rec = EegRecording(samples=_eeg(cfg, classes, np.random.default_rng(0)))
         result = run_pipeline(PipelineConfig(), rec, trained_model)
         assert result.f0.values_hz[-1] == pytest.approx(5150.0, abs=1e-6)
 

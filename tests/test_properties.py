@@ -23,6 +23,7 @@ from helpers import (
     evaluate_static_reference,
     forest_votes_reference,
     forward_states_reference,
+    generate_dataset_reference,
     inverse_tracking_reference,
     map_angle_to_f0_reference,
     ramp_classes_reference,
@@ -40,7 +41,7 @@ from neurof0.arm import (
     inverse_tracking,
     label_classes,
 )
-from neurof0.datagen import SynthConfig, generate_dataset, ramp_classes
+from neurof0.datagen import SynthConfig, dataset_to_recording, generate_dataset, ramp_classes
 from neurof0.cli import cli_main
 from neurof0.eeg import ActivationClass, EegRecording, load_recording_csv, write_recording_csv
 from neurof0.errors import DataError, ModelFileError
@@ -359,6 +360,37 @@ class TestCsvRoundTrip:
         assert back.kinematics.view(np.uint64).tolist() == rec.kinematics.view(np.uint64).tolist()
 
 
+class TestGenDataset:
+    """gen-data and generate_dataset against the frame-by-frame generator."""
+
+    @SETTINGS
+    @given(n=st.integers(10, 300), seed=st.integers(0, 2**64 - 1),
+           snr_db=st.sampled_from([20.0, 40.0, math.inf, None]),
+           force_n=st.sampled_from([150.0, 40.0]))
+    def test_matches_reference(self, n, seed, snr_db, force_n):
+        cfg = SynthConfig(n_samples=n, seed=seed,
+                          **({} if snr_db is None else {"snr_db": snr_db}))
+        reference = generate_dataset_reference(cfg)
+        flags = [] if snr_db is None else ["--snr-db", str(snr_db)]
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "arm.json"
+            config.write_text(json.dumps({"arm": {"max_muscle_force_n": force_n}}))
+            assert cli_main(["--config", str(config), "--out", tmp, "--seed", str(seed),
+                             "gen-data", "--n", str(n), *flags]) == 0
+            back = load_recording_csv(Path(tmp) / "dataset.csv")
+        want = dataset_to_recording(reference, ArmModel(max_muscle_force_n=force_n))
+        assert back.samples.tobytes() == want.samples.tobytes()
+        assert back.kinematics.tobytes() == want.kinematics.tobytes()
+
+        ds = generate_dataset(cfg)
+        assert [f.values.tobytes() for f in ds.frames] == \
+            [f.values.tobytes() for f in reference.frames]
+        assert [f.index for f in ds.frames] == [f.index for f in reference.frames]
+        assert ds.labels == reference.labels
+        assert ds.metadata == reference.metadata
+        assert ds.split_seed == reference.split_seed
+
+
 @lru_cache(maxsize=None)
 def model_blob() -> bytes:
     model = train(generate_dataset(SynthConfig(n_samples=60, snr_db=15.0, seed=14)),
@@ -463,6 +495,7 @@ class TestTextFuzz:
         assert rec.n_channels == 10
         assert np.all(np.isfinite(rec.samples))
         assert rec.kinematics is None or np.all(np.isfinite(rec.kinematics))
+        assert rec.kinematics is None or len(rec.kinematics) == rec.n_samples // 10
 
     @SETTINGS
     @given(data=st.data())
