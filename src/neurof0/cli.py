@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_cla
 from .datagen import SynthConfig, _labeled_recording, generate_movement
 from .eeg import (
     ANGLE_COLUMN,
-    _csv_rows,
     load_recording_csv,
     read_column,
     split_indices,
@@ -74,7 +72,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--activations", metavar="CSV", help="trajectory CSV with an activation column")
     p.add_argument("--constant", type=float, metavar="LEVEL", help="constant activation level")
     p.add_argument("--steps", type=int, default=500, help="steps for --constant (0.01 s each)")
-    p.add_argument("--theta0", type=float, default=0.0, help="initial angle in degrees")
 
     p = sub.add_parser("decode", help="decode a recording into activations/angles/F0")
     p.add_argument("--data", metavar="CSV", help="recording CSV")
@@ -125,10 +122,8 @@ def _load_labeled(path, cfg: PipelineConfig):
     """(X, y, (train rows, test rows)): the recording's (n, 100) frame matrix,
     the class index 1..10 of each frame and the configured split."""
     rec = load_recording_csv(path)
-    if rec.kinematics is None:  # no angle column, or one with every cell empty
-        with closing(_csv_rows(path)) as rows:
-            missing = "values" if ANGLE_COLUMN in next(rows) else "column"
-        raise DataError(f"{path}: no {ANGLE_COLUMN} {missing}; labels cannot be derived")
+    if rec.kinematics is None:
+        raise DataError(f"{path}: no {ANGLE_COLUMN} column; labels cannot be derived")
     X = window_matrix(rec)
     y = label_classes(cfg.arm, rec.kinematics)
     return X, y, split_indices(len(y), cfg.train_fraction, cfg.split_seed)
@@ -187,7 +182,7 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> int:
     else:
         raise DataError("simulate needs --activations or --constant")
     act = ActivationTrajectory(levels=levels)
-    angles = forward_dynamics(cfg.arm, act, theta0_deg=args.theta0)
+    angles = forward_dynamics(cfg.arm, act)
     out = _out_dir(args, cfg)
     path = out / "trajectory.csv"
     write_columns(path, ["t_s", "activation", "angle_deg"],

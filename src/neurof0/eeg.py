@@ -49,8 +49,7 @@ class ActivationClass:
     index: int
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or not 1 <= self.index <= 10:
-            raise ValueError(f"class index must be an integer in 1..10, got {self.index!r}")
+        object.__setattr__(self, "index", _class_index(self.index))
 
     def __index__(self) -> int:
         return self.index
@@ -73,20 +72,22 @@ class ActivationClass:
         return cls(int(nearest_classes([value])[0]))
 
 
-def class_indices(seq) -> np.ndarray:
-    """ActivationClass objects or integers, whatever operator.index accepts
-    except bool, as an int64 vector of class indices 1..10; anything else
+def _class_index(c) -> int:
+    """The class index 1..10 of an ActivationClass or of an integer, whatever
+    operator.index accepts except bool, as a Python int; anything else
     raises ValueError."""
-    seq = list(seq)
-    if any(isinstance(c, bool) for c in seq):
-        raise ValueError("class indices must be integers, not bool")
     try:
-        out = [operator.index(c) for c in seq]
-    except TypeError as exc:
-        raise ValueError(f"class indices must be integers: {exc}") from None
-    if not all(1 <= k <= 10 for k in out):
-        raise ValueError("class indices must be in 1..10")
-    return np.array(out, dtype=np.int64)
+        k = operator.index(c)
+    except TypeError:
+        k = 0  # refused below as out of range
+    if isinstance(c, bool) or not 1 <= k <= 10:
+        raise ValueError(f"class indices must be integers in 1..10, got {c!r}")
+    return k
+
+
+def class_indices(seq) -> np.ndarray:
+    """_class_index of each item, as an int64 vector."""
+    return np.fromiter(map(_class_index, seq), dtype=np.int64)
 
 
 def nearest_classes(values) -> np.ndarray:
@@ -123,8 +124,9 @@ class EegRecording:
     """Multichannel EEG time series with optional elbow-angle kinematics.
 
     samples has shape (n_channels, n_samples), sampled at 1000 Hz;
-    kinematics, when present, holds one angle in degrees per 0.01 s
-    control step.
+    kinematics, when present, holds one angle in degrees per whole 0.01 s
+    window (n_samples // 10 of them; a trailing partial window has none).
+    Any other count raises ValueError.
     """
 
     samples: np.ndarray
@@ -143,7 +145,12 @@ class EegRecording:
         object.__setattr__(self, "samples", _readonly(arr))
         object.__setattr__(self, "channel_names", names)
         if self.kinematics is not None:
-            object.__setattr__(self, "kinematics", _readonly(np.atleast_1d(self.kinematics)))
+            kin = _readonly(np.atleast_1d(self.kinematics))
+            n_frames = arr.shape[1] // SAMPLES_PER_FRAME
+            if len(kin) != n_frames:
+                raise ValueError(f"{len(kin)} kinematic values for {n_frames} "
+                                 f"frames of {SAMPLES_PER_FRAME} samples")
+            object.__setattr__(self, "kinematics", kin)
 
     @property
     def n_channels(self) -> int:
@@ -215,9 +222,10 @@ def load_recording_csv(path) -> EegRecording:
     values become the kinematics series in row order.
 
     Raises DataError on a wrong channel count, no data rows or other than
-    one angle per whole window (check_kinematics_length) and, naming the
-    row, on ragged rows, a non-numeric or non-finite cell, or an angle off
-    a window's first row. A missing file raises FileNotFoundError.
+    one angle per whole window (EegRecording; an angle column with no
+    values holds 0 angles) and, naming the row, on ragged rows, a
+    non-numeric or non-finite cell, or an angle off a window's first row.
+    A missing file raises FileNotFoundError.
     """
     with closing(_csv_rows(path)) as rows:
         header = next(rows)
@@ -263,10 +271,11 @@ def load_recording_csv(path) -> EegRecording:
         row, col = divmod(int(bad[0]), N_CHANNELS)
         _cell_value(repr(float(flat[bad[0]])), path, row + 2, channel_names[col])
     samples = flat.reshape(-1, N_CHANNELS).T
-    kinematics = np.array(angles, dtype=float) if angles else None
-    rec = EegRecording(samples=samples, channel_names=channel_names, kinematics=kinematics)
-    check_kinematics_length(rec, path)
-    return rec
+    kinematics = None if angle_col is None else np.array(angles, dtype=float)
+    try:
+        return EegRecording(samples=samples, channel_names=channel_names, kinematics=kinematics)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _cell_value(cell: str, path, row_no: int, column: str) -> float:
@@ -318,25 +327,12 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
             writer.writerows(zip(*block))
 
 
-def check_kinematics_length(rec: EegRecording, where) -> None:
-    """Raise DataError unless rec's kinematics, if any, hold one angle per
-    whole 10-sample window; ``where`` names the recording, usually its file."""
-    n_frames = rec.n_samples // SAMPLES_PER_FRAME
-    if rec.kinematics is not None and len(rec.kinematics) != n_frames:
-        raise DataError(
-            f"{where}: {len(rec.kinematics)} kinematic values for {n_frames} "
-            f"frames of {SAMPLES_PER_FRAME} samples"
-        )
-
-
 def write_recording_csv(rec: EegRecording, path) -> None:
     """Write a recording in the format understood by load_recording_csv.
 
-    Kinematics, when present, must hold one angle per whole 0.01 s window
-    (see check_kinematics_length); each is written on the first row of its
-    window.
+    Kinematics, when present, are written one angle on the first row of
+    each whole 0.01 s window.
     """
-    check_kinematics_length(rec, path)
     header, columns = list(rec.channel_names), list(rec.samples)
     if rec.kinematics is not None:
         kin = rec.kinematics.tolist()

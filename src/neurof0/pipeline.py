@@ -26,7 +26,7 @@ import numpy as np
 
 from .arm import (ActivationTrajectory, AngleTrajectory, ArmModel, class_angles,
                   forward_dynamics, label_classes)
-from .eeg import EegRecording, check_kinematics_length, class_indices, window_matrix
+from .eeg import EegRecording, class_indices, window_matrix
 from .errors import DataError, PipelineStageError
 from .forest import ForestHyperparams, ForestModel, predict_batch
 from .metrics import MetricsReport, accuracy, rmse
@@ -200,7 +200,6 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
 
     metrics = truth = true_f0 = None
     if rec.kinematics is not None:
-        check_kinematics_length(rec, "recording")
         true_angles = AngleTrajectory(rec.kinematics)
         truth = label_classes(cfg.arm, true_angles.angles_deg)
         true_f0 = map_trajectory(cfg.mapping, true_angles)

@@ -104,8 +104,7 @@ def synthesize(
         )
     if np.max(f0.values_hz) >= sample_rate_hz / 2:
         raise ValueError("f0 at or above the Nyquist frequency would alias")
-    per_sample_hz = np.repeat(f0.values_hz, spc)
-    increments = 2.0 * math.pi * per_sample_hz / sample_rate_hz
+    increments = np.repeat(2.0 * math.pi * f0.values_hz / sample_rate_hz, spc)
     phase = np.concatenate(([0.0], np.cumsum(increments[:-1])))
     return AudioBuffer(samples=amplitude * np.sin(phase), sample_rate_hz=sample_rate_hz)
 

@@ -138,7 +138,10 @@ class TestDataErrors:
         src.write_text("\n".join(rows) + "\n")
         assert run("--out", str(tmp_path / "run"), command, "--data", str(src)) == 2
         err = capsys.readouterr().err
-        assert f"nf0: error: {src}: no angle_deg {missing}; labels cannot be derived" in err
+        # an angle column with no values holds 0 angles for the file's 2 frames
+        want = ("no angle_deg column; labels cannot be derived" if missing == "column"
+                else "0 kinematic values for 2 frames of 10 samples")
+        assert f"nf0: error: {src}: {want}" in err
 
 
 class TestGenData:
@@ -204,16 +207,24 @@ class TestTrainEval:
             assert run("--out", str(out), command, "--data", str(dataset_csv)) == 0
 
     @pytest.mark.parametrize("command", ["train", "eval", "decode", "pipeline"])
-    def test_kinematics_length_mismatch(self, tmp_path, command, capsys):
+    def test_kinematics_length_mismatch(self, tmp_path, dataset_csv, command, capsys):
         # 105 rows: ten whole windows and a partial one whose first row
-        # carries an eleventh angle, which no frame can be labeled with
-        path = tmp_path / "short.csv"
-        rows = [",".join(eeg.DEFAULT_CHANNELS) + ",angle_deg"]
-        rows += [",".join(["1.0"] * 10) + (",10.0" if r % 10 == 0 else ",")
-                 for r in range(105)]
-        path.write_text("\n".join(rows) + "\n")
-        assert run("--out", str(tmp_path / "run"), command, "--data", str(path)) == 2
-        assert f"{path}: 11 kinematic values for 10 frames" in capsys.readouterr().err
+        # carries an eleventh angle, which no frame can be labeled with;
+        # 100 rows under an angle column with every cell empty: no angles.
+        # A model is there, so only the angle count stops the run.
+        out = tmp_path / "run"
+        assert run("--out", str(out), "train", "--data", str(dataset_csv)) == 0
+        for name, n_rows, angle, n_angles in [("short.csv", 105, ",10.0", 11),
+                                             ("empty.csv", 100, ",", 0)]:
+            path = tmp_path / name
+            rows = [",".join(eeg.DEFAULT_CHANNELS) + ",angle_deg"]
+            rows += [",".join(["1.0"] * 10) + (angle if r % 10 == 0 else ",")
+                     for r in range(n_rows)]
+            path.write_text("\n".join(rows) + "\n")
+            assert run("--out", str(out), command, "--data", str(path)) == 2
+            msg = f"{path}: {n_angles} kinematic values for 10 frames of 10 samples"
+            assert msg in capsys.readouterr().err
+            assert not (out / "out.wav").exists() and not (out / "metrics.json").exists()
 
 
 class TestSimulate:

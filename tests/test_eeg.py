@@ -36,10 +36,14 @@ class TestActivationClass:
             pytest.approx(k / 10) for k in range(1, 11)
         ]
 
-    @pytest.mark.parametrize("bad", [0, 11, -1, 3.0, "2"])
+    @pytest.mark.parametrize("bad", [0, 11, -1, 3.0, "2", True])
     def test_bad_index(self, bad):
         with pytest.raises(ValueError):
             ActivationClass(bad)
+
+    def test_numpy_integer_index_is_an_int(self):
+        index = ActivationClass(np.int64(3)).index
+        assert type(index) is int and index == 3
 
     def test_from_level_exact(self):
         assert ActivationClass.from_level(0.3) == ActivationClass(3)
@@ -180,15 +184,23 @@ class TestCsv:
         np.testing.assert_array_equal(back.samples, rec.samples)
         np.testing.assert_array_equal(back.kinematics, rec.kinematics)
 
-    def test_write_rejects_misaligned_kinematics(self, tmp_path):
-        rec = make_recording(60, kinematics=np.zeros(7))
-        with pytest.raises(DataError):
-            write_recording_csv(rec, tmp_path / "r.csv")
+    def test_write_rejects_misaligned_kinematics(self):
+        # a recording with other than one angle per whole window cannot be built
+        with pytest.raises(ValueError, match="7 kinematic values for 6 frames of 10 samples"):
+            make_recording(60, kinematics=np.zeros(7))
 
-    def test_write_names_the_file(self, tmp_path):
+    def test_write_names_the_file(self):
+        with pytest.raises(ValueError, match="^7 kinematic values for 6 frames of 10 samples$"):
+            make_recording(65, kinematics=np.zeros(7))
+
+    def test_empty_kinematics_round_trip(self, tmp_path):
+        # fewer samples than one window: no angles, but an angle column
+        rec = make_recording(5, kinematics=np.array([]))
         path = tmp_path / "r.csv"
-        with pytest.raises(DataError, match=re.escape(f"{path}: 7 kinematic values for 6 frames")):
-            write_recording_csv(make_recording(65, kinematics=np.zeros(7)), path)
+        write_recording_csv(rec, path)
+        back = load_recording_csv(path)
+        assert back.kinematics is not None and back.kinematics.shape == (0,)
+        np.testing.assert_array_equal(back.samples, rec.samples)
 
     def test_write_keeps_a_trailing_partial_window(self, tmp_path):
         # one angle per whole window, as the loader and the pipeline count them

@@ -3,7 +3,8 @@
 pipeline.py and cli.py pass activation classes along as one int64 vector of
 class indices 1..10, from predict_batch to the WAV, and gen-data writes its
 dataset from the generator's arrays. The per-frame objects, the datasets built
-of them and the list-returning wrappers exist for the public API only.
+of them and the list-returning wrappers exist for the public API only. The
+recording CSV layout is eeg's alone: cli.py reads no CSV rows itself.
 """
 
 import ast
@@ -31,6 +32,12 @@ def test_calls_no_object_api(module_tree):
             func = node.func
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     assert called & OBJECT_APIS == set()
+
+
+def test_cli_reads_no_csv_rows():
+    funcs = [node.func for node in ast.walk(ast.parse(inspect.getsource(cli)))
+             if isinstance(node, ast.Call)]
+    assert not any(getattr(f, "id", getattr(f, "attr", None)) == "_csv_rows" for f in funcs)
 
 
 def test_no_comprehension_over_index_or_level(module_tree):

@@ -165,17 +165,16 @@ class TestRunPipeline:
         assert len(result.angles) == 30
         assert len(result.audio) == 30 * 441
 
-    def test_kinematics_length_mismatch(self, trained_model):
+    def test_kinematics_length_mismatch(self):
+        # run_pipeline cannot be handed such a recording: it cannot be built
         rec_full, _ = generate_movement(SynthConfig(n_samples=10, seed=5), 30)
-        rec = EegRecording(samples=rec_full.samples, kinematics=np.zeros(7))
-        with pytest.raises(DataError):
-            run_pipeline(PipelineConfig(), rec, trained_model)
+        with pytest.raises(ValueError, match="7 kinematic values for 30 frames"):
+            EegRecording(samples=rec_full.samples, kinematics=np.zeros(7))
 
-    def test_kinematics_length_message(self, trained_model):
+    def test_kinematics_length_message(self):
         rec_full, _ = generate_movement(SynthConfig(n_samples=10, seed=5), 30)
-        rec = EegRecording(samples=rec_full.samples[:, :295], kinematics=np.zeros(30))
-        with pytest.raises(DataError, match="recording: 30 kinematic values for 29 frames"):
-            run_pipeline(PipelineConfig(), rec, trained_model)
+        with pytest.raises(ValueError, match="^30 kinematic values for 29 frames of 10 samples$"):
+            EegRecording(samples=rec_full.samples[:, :295], kinematics=np.zeros(30))
 
     def test_stage_errors_carry_stage_name(self, trained_model):
         too_short = EegRecording(samples=np.zeros((10, 5)))

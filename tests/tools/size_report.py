@@ -3,7 +3,10 @@
 Usage: python tests/tools/size_report.py [REPO]
 
 REPO defaults to the checkout this script lives in. The line total is
-every line of every .py file under REPO/src. The settable-values count
+every line of every .py file under REPO/src; after the two totals, one
+line per file gives its own line count, path relative to REPO/src, so
+that running the script on two checkouts gives the per-module delta.
+The settable-values count
 is taken over the AST of REPO/src/neurof0 and is the sum of
   * the fields of each @dataclass class (annotated names, not ClassVar),
   * the parameters with a default of each public function and method
@@ -65,14 +68,17 @@ def settable_values(tree: ast.Module) -> dict[str, int]:
 def main(argv: list[str]) -> int:
     repo = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[2]
     src = repo / "src"
-    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sorted(src.rglob("*.py")))
+    modules = {p.relative_to(src).as_posix(): len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted(src.rglob("*.py"))}
     totals = {"dataclass fields": 0, "defaulted parameters": 0, "CLI flags": 0}
     for path in sorted((src / "neurof0").rglob("*.py")):
         for part, n in settable_values(ast.parse(path.read_text(encoding="utf-8"))).items():
             totals[part] += n
-    print(f"src lines: {lines}")
+    print(f"src lines: {sum(modules.values())}")
     print(f"settable values: {sum(totals.values())} "
           f"({', '.join(f'{n} {part}' for part, n in totals.items())})")
+    for name, n in modules.items():
+        print(f"  {name}: {n}")
     return 0
 
 
