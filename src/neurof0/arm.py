@@ -153,20 +153,18 @@ def _stepper(model: ArmModel, sub_dt_s: float):
 
     def step(theta: float, omega: float, activation: float) -> tuple[float, float]:
         muscle = activation * fmax * r
-
-        def accel(th: float, om: float) -> float:
-            return (muscle - grav * math.sin(th) - b * om) / inertia
-
+        sin = math.sin
         try:
+            # each k*w is the acceleration (muscle - grav*sin(th) - b*om) / inertia
             for _ in range(n_sub):
                 k1t = omega
-                k1w = accel(theta, omega)
+                k1w = (muscle - grav * sin(theta) - b * omega) / inertia
                 k2t = omega + 0.5 * dt * k1w
-                k2w = accel(theta + 0.5 * dt * k1t, k2t)
+                k2w = (muscle - grav * sin(theta + 0.5 * dt * k1t) - b * k2t) / inertia
                 k3t = omega + 0.5 * dt * k2w
-                k3w = accel(theta + 0.5 * dt * k2t, k3t)
+                k3w = (muscle - grav * sin(theta + 0.5 * dt * k2t) - b * k3t) / inertia
                 k4t = omega + dt * k3w
-                k4w = accel(theta + dt * k3t, k4t)
+                k4w = (muscle - grav * sin(theta + dt * k3t) - b * k4t) / inertia
                 theta += dt * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
                 omega += dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
                 theta, omega = clamp(theta, omega)

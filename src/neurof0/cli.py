@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_classes
-from .datagen import SynthConfig, _labeled_recording, generate_movement
+from .datagen import SynthConfig, _labeled_recording, _movement_recording, generate_movement
 from .eeg import (
     ANGLE_COLUMN,
+    SAMPLES_PER_FRAME,
     load_recording_csv,
     read_column,
     split_indices,
@@ -118,10 +119,20 @@ def _data_path(args, cfg: PipelineConfig) -> Path:
     return data
 
 
+def _load_recording(path):
+    """load_recording_csv, refusing with the file's name a recording too
+    short to hold one frame, which no command can use."""
+    rec = load_recording_csv(path)
+    if rec.n_samples < SAMPLES_PER_FRAME:
+        raise DataError(f"{path}: recording has {rec.n_samples} samples, fewer than one "
+                        f"{SAMPLES_PER_FRAME}-sample window")
+    return rec
+
+
 def _load_labeled(path, cfg: PipelineConfig):
     """(X, y, (train rows, test rows)): the recording's (n, 100) frame matrix,
     the class index 1..10 of each frame and the configured split."""
-    rec = load_recording_csv(path)
+    rec = _load_recording(path)
     if rec.kinematics is None:
         raise DataError(f"{path}: no {ANGLE_COLUMN} column; labels cannot be derived")
     X = window_matrix(rec)
@@ -135,7 +146,7 @@ def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
         snr_db=args.snr_db, seed=cfg.split_seed,
     )
     if args.movement_steps is not None:
-        rec, _classes = generate_movement(synth_cfg, args.movement_steps, model=cfg.arm)
+        rec, _classes = _movement_recording(synth_cfg, args.movement_steps, cfg.arm)
         name = "movement.csv"
     else:
         rec, _classes = _labeled_recording(synth_cfg, cfg.arm)
@@ -210,7 +221,7 @@ def _decode(args, cfg: PipelineConfig, rec) -> tuple[Path, PipelineResult]:
 
 
 def _cmd_decode(args, cfg: PipelineConfig) -> int:
-    out, result = _decode(args, cfg, load_recording_csv(_data_path(args, cfg)))
+    out, result = _decode(args, cfg, _load_recording(_data_path(args, cfg)))
     print(f"wrote {out / 'angles.csv'} and {out / 'f0.csv'} ({len(result.activations)} steps)")
     return 0
 
@@ -230,7 +241,7 @@ def _cmd_synth(args, cfg: PipelineConfig) -> int:
 def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
     data = _path(args.data, cfg.data_path)
     if data is not None:
-        rec = load_recording_csv(data)
+        rec = _load_recording(data)
     else:
         # self-contained demo: deterministic synthetic movement from the seed
         rec, _classes = generate_movement(SynthConfig(seed=cfg.split_seed), 500, model=cfg.arm)

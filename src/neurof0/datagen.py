@@ -103,13 +103,29 @@ def generate_dataset(cfg: SynthConfig) -> LabeledDataset:
     return LabeledDataset(frames=window_frames(rec), labels=labels, metadata=meta)
 
 
-def ramp_classes(n_steps: int) -> list[ActivationClass]:
-    """Class staircase of a triangle ramp 0.1 -> 1.0 -> 0.1 over n_steps."""
+def _ramp(n_steps: int) -> np.ndarray:
+    """The int64 class index 1..10 of each step of ramp_classes."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     frac = np.arange(n_steps) / max(1, n_steps - 1)
     tri = np.where(frac <= 0.5, 2.0 * frac, 2.0 * (1.0 - frac))
-    return [ActivationClass(k) for k in nearest_classes(0.1 + 0.9 * tri).tolist()]
+    return nearest_classes(0.1 + 0.9 * tri)
+
+
+def ramp_classes(n_steps: int) -> list[ActivationClass]:
+    """Class staircase of a triangle ramp 0.1 -> 1.0 -> 0.1 over n_steps."""
+    return [ActivationClass(k) for k in _ramp(n_steps).tolist()]
+
+
+def _movement_recording(
+    cfg: SynthConfig, n_steps: int, model: ArmModel
+) -> tuple[EegRecording, np.ndarray]:
+    """The recording of generate_movement and the int64 class index 1..10
+    of each step."""
+    classes = _ramp(n_steps)
+    samples = _eeg(cfg, classes, np.random.default_rng(cfg.seed))
+    angles = forward_dynamics(model, ActivationTrajectory(levels=classes / 10.0))
+    return EegRecording(samples=samples, kinematics=angles.angles_deg), classes
 
 
 def generate_movement(
@@ -124,13 +140,8 @@ def generate_movement(
     (simulated) hand actually performs, which downstream evaluation treats
     as the recorded ground truth.
     """
-    if model is None:
-        model = ArmModel()
-    classes = ramp_classes(n_steps)
-    samples = _eeg(cfg, classes, np.random.default_rng(cfg.seed))
-    angles = forward_dynamics(model, ActivationTrajectory.from_classes(classes))
-    rec = EegRecording(samples=samples, kinematics=angles.angles_deg)
-    return rec, classes
+    rec, classes = _movement_recording(cfg, n_steps, ArmModel() if model is None else model)
+    return rec, [ActivationClass(k) for k in classes.tolist()]
 
 
 def oracle_classify(frame: EegFrame, cfg: SynthConfig) -> ActivationClass:

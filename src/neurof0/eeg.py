@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import os
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
@@ -226,7 +227,105 @@ def load_recording_csv(path) -> EegRecording:
     values holds 0 angles) and, naming the row, on ragged rows, a
     non-numeric or non-finite cell, or an angle off a window's first row.
     A missing file raises FileNotFoundError.
+
+    A plain file is parsed by one np.loadtxt call; any file that call might
+    read differently goes to the csv module row by row, which words every
+    DataError.
     """
+    rec = _load_recording_fast(path)
+    return _load_recording_stream(path) if rec is None else rec
+
+
+# Bytes per read when _scan_lines looks through a file.
+_SCAN_BYTES = 1 << 16
+
+
+def _scan_lines(path) -> Optional[int]:
+    """The number of lines of a file, or None when the csv module could
+    read it otherwise than line by line and comma by comma, or when a line
+    is blank: the file holds a quote, a carriage return or a NUL, a line
+    longer than the csv field size limit, or a last line with no final
+    newline. A path that is not a regular file, such as a pipe that could
+    not be read a second time, also gives None, unread."""
+    if not os.path.isfile(path):
+        return None
+    limit = csv.field_size_limit()
+    n_lines, run = 0, 0  # run: the bytes since the last newline
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+                return None
+            ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            if ends.size:
+                widths = np.diff(ends, prepend=-1 - run) - 1  # of the lines that end here
+                if widths.min() == 0 or widths.max() > limit:
+                    return None
+                n_lines += ends.size
+                run = len(chunk) - 1 - int(ends[-1])
+            else:
+                run += len(chunk)
+            if run > limit:
+                return None
+    return None if run else n_lines
+
+
+def _angle_cell(cell: str) -> float:
+    """An angle_deg cell as load_recording_csv reads it, NaN for an empty
+    one; a non-finite value raises ValueError."""
+    cell = cell.strip()
+    if not cell:
+        return math.nan
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite angle {cell!r}")
+    return value
+
+
+def _load_recording_fast(path) -> Optional[EegRecording]:
+    """load_recording_csv through one np.loadtxt call, or None whenever the
+    result could differ from _load_recording_stream's: the file is not
+    plain comma-separated lines (_scan_lines), loadtxt fails, or the table
+    has blank or ragged lines, a non-finite signal value, an angle off a
+    window's first row or another angle count than EegRecording takes."""
+    n_lines = _scan_lines(path)
+    if n_lines is None or n_lines < 2:  # deferred, or a header with no data rows
+        return None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            header = [h.strip() for h in fh.readline()[:-1].split(",")]
+        except UnicodeDecodeError:
+            return None
+        angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
+        channel_names = [h for i, h in enumerate(header) if i != angle_col]
+        if len(channel_names) != N_CHANNELS:
+            return None
+        converters = None if angle_col is None else {angle_col: _angle_cell}
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, converters=converters,
+                               ndmin=2)
+        except ValueError:  # UnicodeDecodeError included
+            return None
+    if table.shape != (n_lines - 1, len(header)):
+        return None
+    kinematics = None
+    if angle_col is not None:
+        rows = np.flatnonzero(~np.isnan(table[:, angle_col]))
+        if np.any(rows % SAMPLES_PER_FRAME):
+            return None
+        kinematics = table[rows, angle_col]
+        # the signal columns in C order, as the streaming reader's rows are,
+        # so that both readers give samples of one memory layout
+        table = np.delete(table, angle_col, axis=1)
+    if not np.isfinite(table).all():
+        return None
+    try:
+        return EegRecording(samples=table.T, channel_names=channel_names, kinematics=kinematics)
+    except ValueError:
+        return None
+
+
+def _load_recording_stream(path) -> EegRecording:
+    """load_recording_csv row by row through the csv module."""
     with closing(_csv_rows(path)) as rows:
         header = next(rows)
         angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None

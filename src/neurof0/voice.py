@@ -58,7 +58,7 @@ class AudioBuffer:
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.samples, dtype=float))
-        if arr.size and (not np.all(np.isfinite(arr)) or np.max(np.abs(arr)) > 1.0):
+        if arr.size and (not np.all(np.isfinite(arr)) or arr.max() > 1.0 or arr.min() < -1.0):
             raise ValueError("samples must be finite and within [-1, 1]")
         object.__setattr__(self, "samples", _readonly(arr))
         if not self.sample_rate_hz > 0:
@@ -105,13 +105,24 @@ def synthesize(
     if np.max(f0.values_hz) >= sample_rate_hz / 2:
         raise ValueError("f0 at or above the Nyquist frequency would alias")
     increments = np.repeat(2.0 * math.pi * f0.values_hz / sample_rate_hz, spc)
-    phase = np.concatenate(([0.0], np.cumsum(increments[:-1])))
-    return AudioBuffer(samples=amplitude * np.sin(phase), sample_rate_hz=sample_rate_hz)
+    # one buffer holds the phase, then its sine, then the scaled sine
+    samples = np.empty_like(increments)
+    samples[0] = 0.0
+    np.cumsum(increments[:-1], out=samples[1:])
+    del increments
+    np.sin(samples, out=samples)
+    samples *= amplitude
+    return AudioBuffer(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     """Scale [-1, 1] floats by 32767, rounding half away from zero."""
-    scaled = np.floor(np.abs(samples) * PCM_FULL_SCALE + 0.5) * np.sign(samples)
+    scaled = np.abs(np.asarray(samples, dtype=float))
+    scaled *= PCM_FULL_SCALE
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    # floor(0.5) is 0, so the sign of a zero sample does not matter
+    np.copysign(scaled, samples, out=scaled)
     return scaled.astype("<i2")
 
 

@@ -27,6 +27,32 @@ def count_zero_crossings(samples: np.ndarray, direction: str = "both") -> int:
     raise ValueError(direction)
 
 
+def assert_loads_as_streaming(path):
+    """load_recording_csv(path) gives what the streaming csv reader gives:
+    arrays of the same bytes and memory layout and the same channel names,
+    or a DataError with the same message. Returns the recording, or None."""
+    from neurof0.eeg import _load_recording_stream, load_recording_csv
+    from neurof0.errors import DataError
+
+    try:
+        want = _load_recording_stream(path)
+    except DataError as exc:
+        try:
+            load_recording_csv(path)
+        except DataError as got:
+            assert str(got) == str(exc)
+            return None
+        raise AssertionError(f"load_recording_csv read a file the streaming reader refuses: {exc}")
+    got = load_recording_csv(path)
+    assert got.channel_names == want.channel_names
+    for a, b in ((got.samples, want.samples), (got.kinematics, want.kinematics)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+    return got
+
+
 def read_wav(path):
     """Return (sample_rate, int16 sample array) using the stdlib reader."""
     with wave.open(str(path), "rb") as wav:
@@ -348,3 +374,22 @@ def generate_dataset_reference(cfg):
     labels = [ActivationClass(k) for k in classes.tolist()]
     meta = {"generator": "synthetic", "seed": str(cfg.seed), "snr_db": str(cfg.snr_db)}
     return LabeledDataset(frames=frames, labels=labels, metadata=meta)
+
+
+# Reference for neurof0.voice's in-place synthesis and quantization: the
+# array expressions they replaced, kept verbatim.
+
+def synthesize_samples_reference(values_hz, sample_rate_hz: int, amplitude: float,
+                                 samples_per_step: int) -> np.ndarray:
+    """The phase-accumulating sine of an F0 contour, each value held for
+    samples_per_step samples, with one fresh array per stage."""
+    increments = np.repeat(2.0 * math.pi * np.asarray(values_hz, dtype=float) / sample_rate_hz,
+                           samples_per_step)
+    phase = np.concatenate(([0.0], np.cumsum(increments[:-1])))
+    return amplitude * np.sin(phase)
+
+
+def quantize_pcm16_reference(samples: np.ndarray) -> np.ndarray:
+    """Scale [-1, 1] floats by 32767, rounding half away from zero."""
+    scaled = np.floor(np.abs(samples) * 32767 + 0.5) * np.sign(samples)
+    return scaled.astype("<i2")

@@ -129,6 +129,16 @@ class TestDataErrors:
         assert run("--out", str(tmp_path), "decode", "--data", str(src)) == 2
         assert f"nf0: error: {src}: no data rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "decode", "pipeline"])
+    def test_recording_shorter_than_a_window_named(self, tmp_path, capsys, command):
+        src = tmp_path / "short.csv"
+        rows = [",".join(eeg.DEFAULT_CHANNELS) + ",angle_deg"]
+        rows += [",".join(["1.0"] * 10) + "," for _ in range(5)]
+        src.write_text("\n".join(rows) + "\n")
+        assert run("--out", str(tmp_path / "run"), command, "--data", str(src)) == 2
+        msg = f"nf0: error: {src}: recording has 5 samples, fewer than one 10-sample window\n"
+        assert capsys.readouterr().err == msg
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("angle, missing", [(False, "column"), (True, "values")])
     def test_no_angles_named(self, tmp_path, capsys, command, angle, missing):

@@ -1,8 +1,14 @@
+import os
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from helpers import assert_loads_as_streaming
+
+from neurof0 import eeg
 from neurof0.eeg import (
     DEFAULT_CHANNELS,
     ActivationClass,
@@ -371,6 +377,112 @@ class TestCsvBoundaries:
         path.write_bytes(path.read_bytes() + row)
         with pytest.raises(DataError, match=re.escape(f"r.csv: {match}")):
             load_recording_csv(path)
+
+
+def fast_path_csv() -> bytes:
+    """20 rows with an angle on the first row of each window: a file the
+    loadtxt fast path reads."""
+    rows = [",".join([f"{0.25 * (i + c)}" for c in range(10)] + ["" if i % 10 else "12.5"])
+            for i in range(20)]
+    return ("\n".join([",".join(DEFAULT_CHANNELS) + ",angle_deg"] + rows) + "\n").encode()
+
+
+def replace_cell(row: int, col: int, cell):
+    """An edit that sets one cell of a data row (0-based) of fast_path_csv,
+    or deletes it when cell is None."""
+    def edit(blob: bytes) -> bytes:
+        lines = blob.split(b"\n")
+        cells = lines[row + 1].split(b",")
+        cells[col:col + 1] = [] if cell is None else [cell]
+        lines[row + 1] = b",".join(cells)
+        return b"\n".join(lines)
+    return edit
+
+
+# each edit of fast_path_csv that the loadtxt fast path must hand to the
+# streaming reader, whether that reader then accepts the file or not
+DEFERRALS = [
+    pytest.param(replace_cell(3, 2, b'"1.5"'), id="quoted-cell"),
+    pytest.param(lambda b: b.replace(b"FP2", b'"FP2"'), id="quoted-header"),
+    pytest.param(lambda b: b.replace(b"\n", b"\r\n"), id="crlf"),
+    pytest.param(lambda b: b.replace(b"\n", b"\n\n", 3), id="blank-line"),
+    pytest.param(lambda b: b + b"\n", id="blank-last-line"),
+    pytest.param(lambda b: b[:b.index(b"\n") + 1] + b"\n", id="blank-data-only"),
+    pytest.param(lambda b: b.replace(b"\n", b"\n \n", 3), id="whitespace-line"),
+    pytest.param(lambda b: b[:-1], id="no-final-newline"),
+    pytest.param(replace_cell(4, 1, b"1_0"), id="underscore"),
+    pytest.param(replace_cell(4, 1, "\uff11.\uff15".encode()), id="full-width-digits"),
+    pytest.param(replace_cell(4, 1, b"1\x005"), id="nul"),
+    pytest.param(lambda b: b.replace(b"FP2", b"FP\x002"), id="nul-in-header"),
+    pytest.param(replace_cell(4, 1, b"1\xff"), id="not-utf8"),
+    pytest.param(replace_cell(4, 1, b"0." + b"1" * 131_072), id="overlong-finite-cell"),
+    pytest.param(replace_cell(5, 10, b"1.0,2.0"), id="extra-column"),
+    pytest.param(lambda b: b.replace(b"\n", b",0\n").replace(b"angle_deg,0", b"angle_deg"),
+                 id="extra-column-every-row"),
+    pytest.param(replace_cell(5, 9, None), id="missing-column"),
+    pytest.param(replace_cell(3, 10, b"40.0"), id="angle-off-window-start"),
+    pytest.param(lambda b: b[:b.index(b"\n") + 1], id="header-only"),
+    pytest.param(replace_cell(7, 0, b"nan"), id="nan-signal"),
+    pytest.param(replace_cell(7, 0, b"-inf"), id="inf-signal"),
+    pytest.param(replace_cell(10, 10, b"nan"), id="nan-angle"),
+    pytest.param(replace_cell(10, 10, b"inf"), id="inf-angle"),
+    pytest.param(replace_cell(10, 10, b""), id="angle-count"),
+]
+
+
+class TestCsvFastPath:
+    def test_plain_file_takes_the_fast_path(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(fast_path_csv())
+        assert eeg._load_recording_fast(path) is not None
+        rec = assert_loads_as_streaming(path)
+        assert rec.kinematics.tolist() == [12.5, 12.5]
+
+    @pytest.mark.parametrize("edit", DEFERRALS)
+    def test_deferred_to_the_streaming_reader(self, tmp_path, edit):
+        path = tmp_path / "r.csv"
+        path.write_bytes(edit(fast_path_csv()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as loadtxt's on a file of blank lines
+            assert eeg._load_recording_fast(path) is None
+        assert_loads_as_streaming(path)
+
+    def test_pipe_is_read_once(self, tmp_path):
+        # a named pipe yields its text once: the scan must leave it unread
+        fifo = tmp_path / "r.fifo"
+        os.mkfifo(fifo)
+        done = []
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(fast_path_csv())
+
+        def read():
+            done.append(load_recording_csv(fifo))
+
+        threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert done[0].kinematics.tolist() == [12.5, 12.5]
+
+    def test_gen_data_output_takes_the_fast_path(self, tmp_path, monkeypatch):
+        from neurof0.cli import cli_main
+
+        assert cli_main(["--out", str(tmp_path), "gen-data", "--n", "30"]) == 0
+        assert cli_main(["--out", str(tmp_path), "gen-data", "--movement-steps", "25"]) == 0
+        want = [eeg._load_recording_stream(tmp_path / n) for n in ("dataset.csv", "movement.csv")]
+
+        def refuse(path):
+            raise AssertionError(f"{path} went to the streaming reader")
+
+        monkeypatch.setattr(eeg, "_load_recording_stream", refuse)
+        for name, rec in zip(("dataset.csv", "movement.csv"), want):
+            got = load_recording_csv(tmp_path / name)
+            assert got.samples.tobytes() == rec.samples.tobytes()
+            assert got.kinematics.tobytes() == rec.kinematics.tobytes()
 
 
 class TestColumns:

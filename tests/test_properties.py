@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import (
     _integrate_control_step,
+    assert_loads_as_streaming,
     best_split_reference,
     derive_labels_reference,
     evaluate_static_reference,
@@ -41,7 +42,13 @@ from neurof0.arm import (
     inverse_tracking,
     label_classes,
 )
-from neurof0.datagen import SynthConfig, dataset_to_recording, generate_dataset, ramp_classes
+from neurof0.datagen import (
+    SynthConfig,
+    _ramp,
+    dataset_to_recording,
+    generate_dataset,
+    ramp_classes,
+)
 from neurof0.cli import cli_main
 from neurof0.eeg import ActivationClass, EegRecording, load_recording_csv, write_recording_csv
 from neurof0.errors import DataError, ModelFileError
@@ -258,7 +265,10 @@ class TestLabelClasses:
 @example(n=2)
 @example(n=3000)
 def test_ramp_classes_match_scalar_ramp(n):
-    assert [c.index for c in ramp_classes(n)] == ramp_classes_reference(n)
+    want = ramp_classes_reference(n)
+    classes = _ramp(n)  # the int64 vector gen-data --movement-steps runs on
+    assert classes.dtype == np.int64 and classes.tolist() == want
+    assert [c.index for c in ramp_classes(n)] == want
 
 
 def stop_at_turn(arm, level: float, theta0_deg: float, sub_dt_s: float):
@@ -496,6 +506,27 @@ class TestTextFuzz:
         assert np.all(np.isfinite(rec.samples))
         assert rec.kinematics is None or np.all(np.isfinite(rec.kinematics))
         assert rec.kinematics is None or len(rec.kinematics) == rec.n_samples // 10
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_recording_csv_fast_path_matches_streaming_reader(self, data):
+        # mutated gen-data output, and generated recordings mutated or not:
+        # finite or not, with or without kinematics, partial last window
+        if data.draw(st.booleans()):
+            blob = mutate(data, gen_data_csv())
+        else:
+            n = data.draw(st.integers(1, 45))
+            samples = data.draw(arrays(np.float64, (10, n), elements=st.floats(width=64)))
+            kinematics = None
+            if data.draw(st.booleans()):
+                kinematics = data.draw(arrays(np.float64, n // 10, elements=FINITE))
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "r.csv"
+                write_recording_csv(EegRecording(samples, kinematics=kinematics), path)
+                blob = path.read_bytes()
+            if data.draw(st.booleans()):
+                blob = mutate(data, blob)
+        load_text(assert_loads_as_streaming, blob)
 
     @SETTINGS
     @given(data=st.data())

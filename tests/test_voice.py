@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import count_zero_crossings, parse_wav_header, read_wav
+from helpers import (
+    count_zero_crossings,
+    parse_wav_header,
+    quantize_pcm16_reference,
+    read_wav,
+    synthesize_samples_reference,
+)
 
 from neurof0.arm import AngleTrajectory
 from neurof0.voice import (
@@ -181,3 +192,38 @@ class TestWav:
         assert rate == 44100
         recovered = data.astype(float) / 32767.0
         assert np.max(np.abs(recovered - audio.samples)) <= 1.0 / 32767.0
+
+
+class TestInPlaceSynthesis:
+    """synthesize and quantize_pcm16 reuse one buffer per stage; their bytes
+    stay those of the array expressions they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.sampled_from([8000, 44100, 96000]),
+           amplitude=st.floats(0.0, 1.0),
+           fracs=st.lists(st.floats(1e-6, 0.4999), min_size=1, max_size=40))
+    def test_bytes_match_reference(self, rate, amplitude, fracs):
+        f0 = F0Trajectory(values_hz=[f * rate for f in fracs])
+        audio = synthesize(f0, sample_rate_hz=rate, amplitude=amplitude)
+        want = synthesize_samples_reference(f0.values_hz, rate, amplitude, rate // 100)
+        assert audio.samples.tobytes() == want.tobytes()
+        assert quantize_pcm16(audio.samples).tobytes() == quantize_pcm16_reference(want).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=arrays(np.float64, st.integers(0, 64), elements=st.floats(-1.0, 1.0)))
+    @example(x=np.array([0.0, -0.0, 0.5 / 32767, -0.5 / 32767, 1.0, -1.0]))
+    def test_quantize_matches_reference(self, x):
+        assert quantize_pcm16(x).tobytes() == quantize_pcm16_reference(x).tobytes()
+
+    def test_peak_memory_of_synthesis_and_quantization(self):
+        # 2,000 control steps at 44.1 kHz: 882,000 float64 samples
+        f0 = F0Trajectory(values_hz=np.linspace(1500.0, 5150.0, 2000))
+        audio_bytes = 2000 * 441 * 8
+        tracemalloc.start()
+        try:
+            pcm = quantize_pcm16(synthesize(f0).samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pcm) == 882_000
+        assert peak < 2.5 * audio_bytes
