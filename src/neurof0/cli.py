@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, simulate, decode, synth, pipeline.
-Exit codes: 0 success, 1 usage error, 2 data or model error.
+Exit codes: 0 success, 1 usage error, 2 data, model or oversized-count error.
 """
 
 from __future__ import annotations
@@ -279,8 +279,11 @@ def cli_main(argv=None) -> int:
     try:
         cfg = _load_cfg(args)
         return _COMMANDS[args.command](args, cfg)
-    except (DataError, OSError, ValueError, FloatingPointError) as exc:
-        print(f"nf0: error: {exc}", file=sys.stderr)
+    except (DataError, OSError, ValueError, FloatingPointError, OverflowError,
+            MemoryError) as exc:
+        # the last two: a count too large to represent or to allocate
+        empty_oom = isinstance(exc, MemoryError) and not str(exc)
+        print(f"nf0: error: {'out of memory' if empty_oom else exc}", file=sys.stderr)
         return 2
 
 

@@ -127,7 +127,8 @@ class EegRecording:
     samples has shape (n_channels, n_samples), sampled at 1000 Hz;
     kinematics, when present, holds one angle in degrees per whole 0.01 s
     window (n_samples // 10 of them; a trailing partial window has none).
-    Any other count raises ValueError.
+    Any other count raises ValueError, as does a channel named angle_deg,
+    the CSV column that holds the kinematics.
     """
 
     samples: np.ndarray
@@ -143,6 +144,8 @@ class EegRecording:
             raise ValueError(
                 f"{arr.shape[0]} channel rows but {len(names)} channel names"
             )
+        if ANGLE_COLUMN in names:
+            raise ValueError(f"{ANGLE_COLUMN!r} names the kinematics column, not a channel")
         object.__setattr__(self, "samples", _readonly(arr))
         object.__setattr__(self, "channel_names", names)
         if self.kinematics is not None:
@@ -222,18 +225,15 @@ def load_recording_csv(path) -> EegRecording:
     10-row (0.01 s) window; empty cells are skipped and the non-empty
     values become the kinematics series in row order.
 
-    Raises DataError on a wrong channel count, no data rows or other than
-    one angle per whole window (EegRecording; an angle column with no
-    values holds 0 angles) and, naming the row, on ragged rows, a
-    non-numeric or non-finite cell, or an angle off a window's first row.
-    A missing file raises FileNotFoundError.
-
-    A plain file is parsed by one np.loadtxt call; any file that call might
-    read differently goes to the csv module row by row, which words every
-    DataError.
+    Two tokenizers turn the text into cells: one np.loadtxt call reads a
+    plain file (_plain_cells), the csv module any other row by row
+    (_csv_cells), raising DataError on unreadable text, a ragged row, a
+    non-numeric cell or a non-finite angle. One validator (_recording)
+    raises DataError on every other rule. Each names the file, and the row
+    where there is one; a missing file raises FileNotFoundError.
     """
-    rec = _load_recording_fast(path)
-    return _load_recording_stream(path) if rec is None else rec
+    header, cells = _plain_cells(path) or _csv_cells(path)
+    return _recording(path, header, cells)
 
 
 # Bytes per read when _scan_lines looks through a file.
@@ -281,12 +281,12 @@ def _angle_cell(cell: str) -> float:
     return value
 
 
-def _load_recording_fast(path) -> Optional[EegRecording]:
-    """load_recording_csv through one np.loadtxt call, or None whenever the
-    result could differ from _load_recording_stream's: the file is not
-    plain comma-separated lines (_scan_lines), loadtxt fails, or the table
-    has blank or ragged lines, a non-finite signal value, an angle off a
-    window's first row or another angle count than EegRecording takes."""
+def _plain_cells(path):
+    """_csv_cells' header and cells, as a (rows, columns) table, through one
+    np.loadtxt call; or None whenever _csv_cells could read the text
+    otherwise: the file is not plain comma-separated lines (_scan_lines),
+    has no data rows, loadtxt fails (a non-finite angle included) or the
+    table is not one row per line and one cell per header column."""
     n_lines = _scan_lines(path)
     if n_lines is None or n_lines < 2:  # deferred, or a header with no data rows
         return None
@@ -295,84 +295,75 @@ def _load_recording_fast(path) -> Optional[EegRecording]:
             header = [h.strip() for h in fh.readline()[:-1].split(",")]
         except UnicodeDecodeError:
             return None
-        angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
-        channel_names = [h for i, h in enumerate(header) if i != angle_col]
-        if len(channel_names) != N_CHANNELS:
-            return None
-        converters = None if angle_col is None else {angle_col: _angle_cell}
+        converters = {header.index(ANGLE_COLUMN): _angle_cell} if ANGLE_COLUMN in header else None
         try:
             table = np.loadtxt(fh, delimiter=",", comments=None, converters=converters,
                                ndmin=2)
         except ValueError:  # UnicodeDecodeError included
             return None
-    if table.shape != (n_lines - 1, len(header)):
-        return None
-    kinematics = None
-    if angle_col is not None:
-        rows = np.flatnonzero(~np.isnan(table[:, angle_col]))
-        if np.any(rows % SAMPLES_PER_FRAME):
-            return None
-        kinematics = table[rows, angle_col]
-        # the signal columns in C order, as the streaming reader's rows are,
-        # so that both readers give samples of one memory layout
-        table = np.delete(table, angle_col, axis=1)
-    if not np.isfinite(table).all():
-        return None
-    try:
-        return EegRecording(samples=table.T, channel_names=channel_names, kinematics=kinematics)
-    except ValueError:
-        return None
+    return (header, table) if table.shape == (n_lines - 1, len(header)) else None
 
 
-def _load_recording_stream(path) -> EegRecording:
-    """load_recording_csv row by row through the csv module."""
+def _csv_cells(path):
+    """The header and every cell as a float in row order, NaN for an empty
+    angle_deg cell, read row by row through the csv module. _csv_rows'
+    DataErrors pass through; a non-numeric cell or a non-finite angle
+    raises DataError naming its row and column."""
     with closing(_csv_rows(path)) as rows:
         header = next(rows)
         angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
-        channel_names = [h for i, h in enumerate(header) if i != angle_col]
-        if len(channel_names) != N_CHANNELS:
-            raise DataError(
-                f"{path}: expected {N_CHANNELS} signal columns, found {len(channel_names)}"
-            )
 
-        angles: list[float] = []
-        last = [0, []]  # row number and signal cells of the row being converted
-
-        def signal_rows():
+        def cell_rows():
             for row_no, row in rows:
                 if angle_col is not None:
-                    cell = row.pop(angle_col).strip()
-                    if cell:
-                        if (row_no - 2) % SAMPLES_PER_FRAME:
-                            raise DataError(
-                                f"{path}: {ANGLE_COLUMN} value on row {row_no}, which is "
-                                f"not the first row of its {SAMPLES_PER_FRAME}-row window"
-                            )
-                        angles.append(_cell_value(cell, path, row_no, ANGLE_COLUMN))
-                last[:] = row_no, row
-                yield row
+                    cell = row[angle_col].strip()
+                    row[angle_col] = (_cell_value(cell, path, row_no, ANGLE_COLUMN)
+                                      if cell else math.nan)
+                try:
+                    values = tuple(map(float, row))
+                except ValueError:  # _cell_value raises, naming the cell
+                    for name, cell in zip(header, row):
+                        _cell_value(cell, path, row_no, name)
+                    raise
+                yield values
 
-        try:
-            flat = np.fromiter(map(float, chain.from_iterable(signal_rows())), dtype=float)
-        except DataError:
-            raise
-        except ValueError:
-            # the cell that failed is in the last row handed to the conversion
-            row_no, row = last
-            for name, cell in zip(channel_names, row):
-                _cell_value(cell, path, row_no, name)
-            raise
+        return header, np.fromiter(chain.from_iterable(cell_rows()), dtype=float)
 
-    if not flat.size:
+
+def _recording(path, header: Sequence[str], cells: np.ndarray) -> EegRecording:
+    """The recording that a tokenizer's header and cells (in row order,
+    overwritten here) hold, or a DataError naming the file: a wrong channel
+    count, no data rows, an angle off a window's first row or a non-finite
+    sample (naming the row and column), or whatever EegRecording refuses."""
+    angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
+    channel_names = [h for i, h in enumerate(header) if i != angle_col]
+    if len(channel_names) != N_CHANNELS:
+        raise DataError(
+            f"{path}: expected {N_CHANNELS} signal columns, found {len(channel_names)}"
+        )
+    if not cells.size:
         raise DataError(f"{path}: no data rows")
-    bad = np.flatnonzero(~np.isfinite(flat))
+    table = cells.reshape(-1, len(header))
+    kinematics = None
+    if angle_col is not None:
+        rows = np.flatnonzero(~np.isnan(table[:, angle_col]))
+        off = rows[rows % SAMPLES_PER_FRAME != 0]
+        if off.size:
+            raise DataError(
+                f"{path}: {ANGLE_COLUMN} value on row {int(off[0]) + 2}, which is "
+                f"not the first row of its {SAMPLES_PER_FRAME}-row window"
+            )
+        kinematics = table[rows, angle_col]
+        # drop the angle column within the cells' own buffer, so that
+        # EegRecording's copy is the only one
+        table[:, angle_col:-1] = table[:, angle_col + 1:]
+        table = table[:, :-1]
+    bad = np.flatnonzero(~np.isfinite(table))
     if bad.size:  # _cell_value raises, naming the first bad cell
         row, col = divmod(int(bad[0]), N_CHANNELS)
-        _cell_value(repr(float(flat[bad[0]])), path, row + 2, channel_names[col])
-    samples = flat.reshape(-1, N_CHANNELS).T
-    kinematics = None if angle_col is None else np.array(angles, dtype=float)
+        _cell_value(repr(float(table.flat[bad[0]])), path, row + 2, channel_names[col])
     try:
-        return EegRecording(samples=samples, channel_names=channel_names, kinematics=kinematics)
+        return EegRecording(samples=table.T, channel_names=channel_names, kinematics=kinematics)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -28,14 +28,15 @@ def count_zero_crossings(samples: np.ndarray, direction: str = "both") -> int:
 
 
 def assert_loads_as_streaming(path):
-    """load_recording_csv(path) gives what the streaming csv reader gives:
-    arrays of the same bytes and memory layout and the same channel names,
-    or a DataError with the same message. Returns the recording, or None."""
-    from neurof0.eeg import _load_recording_stream, load_recording_csv
+    """load_recording_csv(path) gives what the validator gives on the
+    streaming csv tokenizer's cells: arrays of the same bytes and memory
+    layout and the same channel names, or a DataError with the same
+    message. Returns the recording, or None."""
+    from neurof0.eeg import _csv_cells, _recording, load_recording_csv
     from neurof0.errors import DataError
 
     try:
-        want = _load_recording_stream(path)
+        want = _recording(path, *_csv_cells(path))
     except DataError as exc:
         try:
             load_recording_csv(path)

@@ -10,7 +10,7 @@ import pytest
 from helpers import parse_wav_header
 
 import neurof0
-from neurof0 import eeg
+from neurof0 import cli, eeg
 from neurof0.cli import cli_main
 from neurof0.eeg import load_recording_csv
 
@@ -194,6 +194,17 @@ class TestGenData:
         assert "snr_db" in err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("exc, message", [(MemoryError(), "out of memory"),
+                                              (MemoryError("Unable to allocate"),
+                                               "Unable to allocate")])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, exc, message):
+        def stage(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "_labeled_recording", stage)
+        assert run("--out", str(tmp_path), "gen-data", "--n", "20") == 2
+        assert capsys.readouterr().err == f"nf0: error: {message}\n"
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, dataset_csv):
@@ -258,6 +269,13 @@ class TestSimulate:
 
     def test_needs_input(self, tmp_path):
         assert run("--out", str(tmp_path), "simulate") == 2
+
+    def test_oversized_steps_exit_2(self, tmp_path, capsys):
+        # 10**20 steps cannot be represented as a list length: no allocation
+        assert run("--out", str(tmp_path), "simulate", "--constant", "0.5",
+                   "--steps", str(10**20)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nf0: error: ") and err.count("\n") == 1
 
     def test_non_finite_activation_named(self, tmp_path, capsys):
         src = tmp_path / "act.csv"

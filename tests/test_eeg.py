@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import threading
@@ -115,6 +116,14 @@ class TestEegRecording:
         with pytest.raises(ValueError):
             EegRecording(samples=np.zeros((10, 5)), channel_names=("a", "b"))
 
+    @pytest.mark.parametrize("i", [0, 9])
+    def test_angle_column_is_not_a_channel(self, i):
+        names = list(DEFAULT_CHANNELS)
+        names[i] = "angle_deg"
+        msg = "^'angle_deg' names the kinematics column, not a channel$"
+        with pytest.raises(ValueError, match=msg):
+            EegRecording(samples=np.zeros((10, 20)), channel_names=names)
+
 
 class TestCsv:
     def test_parse_100_rows(self, tmp_path):
@@ -207,6 +216,15 @@ class TestCsv:
         back = load_recording_csv(path)
         assert back.kinematics is not None and back.kinematics.shape == (0,)
         np.testing.assert_array_equal(back.samples, rec.samples)
+
+    def test_write_gets_no_angle_channel(self, tmp_path):
+        # a recording with a channel named angle_deg would be written as a
+        # file whose angle column the loader reads otherwise
+        rec = make_recording(20, kinematics=np.array([1.0, 2.0]))
+        names = (*DEFAULT_CHANNELS[:9], "angle_deg")
+        with pytest.raises(ValueError, match="'angle_deg' names the kinematics column"):
+            write_recording_csv(dataclasses.replace(rec, channel_names=names), tmp_path / "r.csv")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_write_keeps_a_trailing_partial_window(self, tmp_path):
         # one angle per whole window, as the loader and the pipeline count them
@@ -420,13 +438,21 @@ DEFERRALS = [
     pytest.param(lambda b: b.replace(b"\n", b",0\n").replace(b"angle_deg,0", b"angle_deg"),
                  id="extra-column-every-row"),
     pytest.param(replace_cell(5, 9, None), id="missing-column"),
-    pytest.param(replace_cell(3, 10, b"40.0"), id="angle-off-window-start"),
     pytest.param(lambda b: b[:b.index(b"\n") + 1], id="header-only"),
-    pytest.param(replace_cell(7, 0, b"nan"), id="nan-signal"),
-    pytest.param(replace_cell(7, 0, b"-inf"), id="inf-signal"),
     pytest.param(replace_cell(10, 10, b"nan"), id="nan-angle"),
     pytest.param(replace_cell(10, 10, b"inf"), id="inf-angle"),
-    pytest.param(replace_cell(10, 10, b""), id="angle-count"),
+]
+
+# each edit of fast_path_csv that the loadtxt fast path reads as text but
+# the validator refuses: both tokenizers lead to the same DataError
+RULE_FAULTS = [
+    pytest.param(replace_cell(3, 10, b"40.0"), "angle_deg value on row 5",
+                 id="angle-off-window-start"),
+    pytest.param(replace_cell(7, 0, b"nan"), "non-finite value 'nan' on row 9, column FP1",
+                 id="nan-signal"),
+    pytest.param(replace_cell(7, 0, b"-inf"), "non-finite value '-inf' on row 9, column FP1",
+                 id="inf-signal"),
+    pytest.param(replace_cell(10, 10, b""), "1 kinematic values for 2 frames", id="angle-count"),
 ]
 
 
@@ -434,7 +460,7 @@ class TestCsvFastPath:
     def test_plain_file_takes_the_fast_path(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_bytes(fast_path_csv())
-        assert eeg._load_recording_fast(path) is not None
+        assert eeg._plain_cells(path) is not None
         rec = assert_loads_as_streaming(path)
         assert rec.kinematics.tolist() == [12.5, 12.5]
 
@@ -444,8 +470,45 @@ class TestCsvFastPath:
         path.write_bytes(edit(fast_path_csv()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # such as loadtxt's on a file of blank lines
-            assert eeg._load_recording_fast(path) is None
+            assert eeg._plain_cells(path) is None
         assert_loads_as_streaming(path)
+
+    @pytest.mark.parametrize("edit, match", RULE_FAULTS)
+    def test_validated_after_either_tokenizer(self, tmp_path, edit, match):
+        path = tmp_path / "r.csv"
+        path.write_bytes(edit(fast_path_csv()))
+        assert eeg._plain_cells(path) is not None
+        assert assert_loads_as_streaming(path) is None
+        with pytest.raises(DataError, match=re.escape(f"{path}: {match}")):
+            load_recording_csv(path)
+
+    @pytest.mark.parametrize("quote", [False, True], ids=["loadtxt", "csv"])
+    def test_second_angle_column_refused(self, tmp_path, quote):
+        # FP1..O1, then two angle_deg columns: angles in the first, a number
+        # on every row of the second, which would be read as a 10th channel
+        second = '"angle_deg"' if quote else "angle_deg"  # a quote defers to the csv module
+        header = ",".join(DEFAULT_CHANNELS[:9]) + ",angle_deg," + second
+        rows = [",".join(["1.0"] * 9 + ["" if i % 10 else "5.0", "2.0"]) for i in range(20)]
+        path = tmp_path / "r.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        assert (eeg._plain_cells(path) is None) == quote
+        assert assert_loads_as_streaming(path) is None
+        msg = f"{path}: 'angle_deg' names the kinematics column, not a channel"
+        with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
+            load_recording_csv(path)
+
+    def test_first_text_fault_named_before_a_rule_fault(self, tmp_path):
+        # an angle off its window start on row 10 and a non-numeric cell on
+        # row 19: the tokenizer names the cell before the validator runs
+        path = tmp_path / "r.csv"
+        rows = [["1.0"] * 10 + [""] for _ in range(30)]
+        rows[0][10] = "10.0"
+        rows[8][10] = "12.0"
+        rows[17][2] = "oops"
+        write_csv(path, rows, angle=True)
+        msg = f"{path}: non-numeric cell 'oops' on row 19, column F7"
+        with pytest.raises(DataError, match=re.escape(msg)):
+            load_recording_csv(path)
 
     def test_pipe_is_read_once(self, tmp_path):
         # a named pipe yields its text once: the scan must leave it unread
@@ -473,12 +536,13 @@ class TestCsvFastPath:
 
         assert cli_main(["--out", str(tmp_path), "gen-data", "--n", "30"]) == 0
         assert cli_main(["--out", str(tmp_path), "gen-data", "--movement-steps", "25"]) == 0
-        want = [eeg._load_recording_stream(tmp_path / n) for n in ("dataset.csv", "movement.csv")]
+        want = [eeg._recording(tmp_path / n, *eeg._csv_cells(tmp_path / n))
+                for n in ("dataset.csv", "movement.csv")]
 
         def refuse(path):
             raise AssertionError(f"{path} went to the streaming reader")
 
-        monkeypatch.setattr(eeg, "_load_recording_stream", refuse)
+        monkeypatch.setattr(eeg, "_csv_cells", refuse)
         for name, rec in zip(("dataset.csv", "movement.csv"), want):
             got = load_recording_csv(tmp_path / name)
             assert got.samples.tobytes() == rec.samples.tobytes()

@@ -4,7 +4,8 @@ pipeline.py and cli.py pass activation classes along as one int64 vector of
 class indices 1..10, from predict_batch to the WAV, and gen-data writes its
 dataset from the generator's arrays. The per-frame objects, the datasets built
 of them and the list-returning wrappers exist for the public API only. The
-recording CSV layout is eeg's alone: cli.py reads no CSV rows itself.
+recording CSV layout is eeg's alone: cli.py reads no CSV rows itself, and
+in eeg.py each recording rule is worded, and so checked, in one function.
 """
 
 import ast
@@ -12,7 +13,7 @@ import inspect
 
 import pytest
 
-from neurof0 import cli, pipeline
+from neurof0 import cli, eeg, pipeline
 
 OBJECT_APIS = {"ActivationClass", "EegFrame", "derive_labels", "window_frames",
                "predict_trajectory", "split_dataset", "from_classes",
@@ -46,3 +47,31 @@ def test_no_comprehension_over_index_or_level(module_tree):
              for node in ast.walk(comp)
              if isinstance(node, ast.Attribute) and node.attr in ("index", "level")]
     assert found == []
+
+
+def functions_wording(tree, text):
+    """The innermost functions (as class.function paths) holding a string
+    constant, docstrings aside, that contains text."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = (*where, node.name)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return  # a docstring
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
+            found.add(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("text, owner", [
+    ("signal columns", "_recording"),                    # the channel count
+    ("-row window", "_recording"),                       # angles on window starts
+    ("kinematic values", "EegRecording.__post_init__"),  # the kinematics count
+])
+def test_each_recording_rule_in_one_function(text, owner):
+    assert functions_wording(ast.parse(inspect.getsource(eeg)), text) == {owner}

@@ -31,7 +31,7 @@ from helpers import (
     snap_to_class_angle_reference,
 )
 
-from neurof0 import forest
+from neurof0 import eeg, forest
 from neurof0.arm import (
     ActivationTrajectory,
     AngleTrajectory,
@@ -484,6 +484,23 @@ def gen_data_csv() -> bytes:
         return (Path(tmp) / "dataset.csv").read_bytes()
 
 
+def recording_blob(data) -> bytes:
+    """Mutated gen-data output, or a generated recording mutated or not:
+    finite or not, with or without kinematics, partial last window."""
+    if data.draw(st.booleans()):
+        return mutate(data, gen_data_csv())
+    n = data.draw(st.integers(1, 45))
+    samples = data.draw(arrays(np.float64, (10, n), elements=st.floats(width=64)))
+    kinematics = None
+    if data.draw(st.booleans()):
+        kinematics = data.draw(arrays(np.float64, n // 10, elements=FINITE))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.csv"
+        write_recording_csv(EegRecording(samples, kinematics=kinematics), path)
+        blob = path.read_bytes()
+    return mutate(data, blob) if data.draw(st.booleans()) else blob
+
+
 CONFIG_JSON = json.dumps({
     "arm": {"forearm_mass_kg": 1.5, "damping_nms": 0.2},
     "mapping": {"f0_min_hz": 1500.0, "f0_max_hz": 5150.0},
@@ -510,23 +527,21 @@ class TestTextFuzz:
     @SETTINGS
     @given(data=st.data())
     def test_recording_csv_fast_path_matches_streaming_reader(self, data):
-        # mutated gen-data output, and generated recordings mutated or not:
-        # finite or not, with or without kinematics, partial last window
-        if data.draw(st.booleans()):
-            blob = mutate(data, gen_data_csv())
-        else:
-            n = data.draw(st.integers(1, 45))
-            samples = data.draw(arrays(np.float64, (10, n), elements=st.floats(width=64)))
-            kinematics = None
-            if data.draw(st.booleans()):
-                kinematics = data.draw(arrays(np.float64, n // 10, elements=FINITE))
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / "r.csv"
-                write_recording_csv(EegRecording(samples, kinematics=kinematics), path)
-                blob = path.read_bytes()
-            if data.draw(st.booleans()):
-                blob = mutate(data, blob)
-        load_text(assert_loads_as_streaming, blob)
+        load_text(assert_loads_as_streaming, recording_blob(data))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_plain_cells_match_csv_cells(self, data):
+        # whenever the loadtxt tokenizer reads a text, the csv one reads the
+        # same header and the same cells bit for bit, NaN positions included
+        def check(path):
+            plain = eeg._plain_cells(path)
+            if plain is not None:
+                header, cells = eeg._csv_cells(path)
+                assert header == plain[0]
+                assert cells.tobytes() == plain[1].tobytes()
+
+        load_text(check, recording_blob(data))
 
     @SETTINGS
     @given(data=st.data())
