@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_classes
-from .datagen import SynthConfig, _labeled_recording, _movement_recording, generate_movement
+from .datagen import SynthConfig, _labeled_recording, _movement_recording
 from .eeg import (
     ANGLE_COLUMN,
     SAMPLES_PER_FRAME,
@@ -244,7 +244,7 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
         rec = _load_recording(data)
     else:
         # self-contained demo: deterministic synthetic movement from the seed
-        rec, _classes = generate_movement(SynthConfig(seed=cfg.split_seed), 500, model=cfg.arm)
+        rec, _classes = _movement_recording(SynthConfig(seed=cfg.split_seed), 500, cfg.arm)
     out, result = _decode(args, cfg, rec)
     write_wav(result.audio, out / "out.wav")
     if result.metrics is not None:

@@ -4,7 +4,8 @@ Implemented from scratch so training is a pure function of the dataset
 order and the seed: identical inputs give bit-identical models. Each tree
 is grown on a bootstrap resample with CART-style binary splits chosen by
 Gini impurity over a random feature subset per node; candidate thresholds
-are midpoints between consecutive sorted unique feature values. The first
+are midpoints between consecutive sorted unique feature values, or the
+lower value where the midpoint does not lie below the upper. The first
 max_features entries of a per-node random feature permutation are
 searched; if none of them admits a valid split the permutation is walked
 further until one does, so a node only becomes a leaf when it is pure,
@@ -70,10 +71,11 @@ class DecisionTree:
 
     class_counts holds the bootstrap-sample class histogram of every node
     (meaningful for prediction at leaves, where it may not be all zero).
-    Every internal node i splits on a feature in 0..99 and has
-    left == i + 1 and i + 1 < right < n_nodes, and a preorder walk from
-    the root meets the nodes in id order, each once. Child ids thus
-    strictly increase along every path, which makes every traversal end.
+    Every internal node i splits on a feature in 0..99 at a threshold that
+    is not NaN and has left == i + 1 and i + 1 < right < n_nodes, and a
+    preorder walk from the root meets the nodes in id order, each once.
+    Child ids thus strictly increase along every path, which makes every
+    traversal end.
     """
 
     feature: np.ndarray       # int, LEAF for leaves
@@ -103,6 +105,9 @@ class DecisionTree:
                 f"node {i}: feature {self.feature[i]}, children {self.left[i]} and "
                 f"{self.right[i]} break the preorder layout of {n} nodes"
             )
+        nan = inner & np.isnan(self.threshold)
+        if nan.any():
+            raise ValueError(f"node {int(np.flatnonzero(nan)[0])}: threshold is NaN")
         empty = ~inner & (self.class_counts.sum(axis=1) == 0)
         if empty.any():
             raise ValueError(f"node {int(np.flatnonzero(empty)[0])}: leaf with no class counts")
@@ -183,8 +188,10 @@ def _best_split(XT, y_onehot, idx, feats, min_leaf):
         weighted = (n_left * gini_l + n_right * gini_r) / n
         i = int(np.argmin(weighted))
         if best is None or weighted[i] < best[0]:
-            thr = 0.5 * (xs[row[i], cut[i]] + xs[row[i], cut[i] + 1])
-            best = (float(weighted[i]), int(f[row[i]]), thr)
+            a, b = xs[row[i], cut[i]:cut[i] + 2].tolist()
+            thr = 0.5 * (a + b)  # on Python floats an overflow is inf, not a warning
+            # a midpoint that overflowed or rounded onto b would not separate a from b
+            best = (float(weighted[i]), int(f[row[i]]), thr if a <= thr < b else a)
     return best
 
 
@@ -193,27 +200,26 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, y_onehot: np.ndarray,
     n = len(y)
     boot = np.fromiter((rng.below(n) for _ in range(n)), dtype=np.int64, count=n)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[np.ndarray] = []
-
-    # preorder build with an explicit stack; parent slots patched on allocation
-    stack = [(boot, None, None)]  # (sample indices, parent id, "left"/"right")
+    feature, threshold, right, counts = [], [], [], []  # per node, in preorder
+    # preorder build with an explicit stack: a left child is popped right after
+    # its parent, so its id is the parent's + 1; only right ids are patched
+    stack = [(boot, None)]  # (sample indices, parent id if a right child)
     while stack:
-        idx, parent, side = stack.pop()
+        idx, parent = stack.pop()
         node_id = len(feature)
         if parent is not None:
-            (left if side == "left" else right)[parent] = node_id
+            right[parent] = node_id
         node_counts = np.bincount(y[idx], minlength=N_CLASSES).astype(np.int64)
         feature.append(LEAF)
         threshold.append(0.0)
-        left.append(0)
         right.append(0)
         counts.append(node_counts)
 
         if len(idx) < hp.min_samples_split or np.count_nonzero(node_counts) <= 1:
+            continue
+        if len(idx) < 2 * hp.min_samples_leaf:  # no valid cut: draw as a fruitless walk
+            for _ in range(N_FEATURES):
+                rng.next_u64()
             continue
         # lazy partial Fisher-Yates: the first max_features of a feature
         # permutation, extended one at a time while no valid split exists
@@ -236,16 +242,17 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, y_onehot: np.ndarray,
         threshold[node_id] = thr
         mask = XT[f, idx] <= thr
         # right pushed first so the left subtree is built (and numbered) first
-        stack.append((idx[~mask], node_id, "right"))
-        stack.append((idx[mask], node_id, "left"))
+        stack.append((idx[~mask], node_id))
+        stack.append((idx[mask], None))
 
     feature_arr = np.array(feature, dtype=np.int32)
+    inner = feature_arr != LEAF
     class_counts = np.array(counts, dtype=np.int64)
-    class_counts[feature_arr != LEAF] = 0  # as the model file stores them
+    class_counts[inner] = 0  # as the model file stores them
     return DecisionTree(
         feature=feature_arr,
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
+        left=np.where(inner, np.arange(1, len(feature) + 1, dtype=np.int32), 0),
         right=np.array(right, dtype=np.int32),
         class_counts=class_counts,
     )
@@ -332,55 +339,41 @@ def predict_trajectory(model: ForestModel, frames: Sequence[EegFrame]) -> list[A
 
 def save_model(model: ForestModel, path) -> None:
     hp = model.hyperparams
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<H", FORMAT_VERSION)
-    blob += struct.pack(
-        "<IIIqII",
-        hp.n_estimators, hp.min_samples_leaf, hp.min_samples_split,
-        hp.seed, hp.max_features, len(model.trees),
-    )
+    blob = bytearray(MAGIC)
+    blob += struct.pack("<HIIIqII", FORMAT_VERSION, hp.n_estimators, hp.min_samples_leaf,
+                        hp.min_samples_split, hp.seed, hp.max_features, len(model.trees))
     for tree in model.trees:
         blob += struct.pack("<I", tree.n_nodes)
-        for i in range(tree.n_nodes):
-            if tree.feature[i] == LEAF:
-                blob += struct.pack("<B", 0)
-                blob += struct.pack("<10I", *tree.class_counts[i])
-            else:
-                blob += struct.pack(
-                    "<BIdII",
-                    1, int(tree.feature[i]), float(tree.threshold[i]),
-                    int(tree.left[i]), int(tree.right[i]),
-                )
+        for f, thr, left, right, counts in zip(
+                tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
+                tree.right.tolist(), tree.class_counts.tolist()):
+            blob += (struct.pack("<B10I", 0, *counts) if f == LEAF
+                     else struct.pack("<BIdII", 1, f, thr, left, right))
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.blob):
-            raise ModelFileError("model file is truncated")
-        out = struct.unpack_from(fmt, self.blob, self.pos)
-        self.pos += size
-        return out
 
 
 def load_model(path) -> ForestModel:
     with open(path, "rb") as fh:
         blob = fh.read()
-    reader = _Reader(blob)
-    (magic,) = reader.take("<4s")
+    pos = 0
+
+    def take(fmt: str):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(blob):
+            raise ModelFileError("model file is truncated")
+        out = struct.unpack_from(fmt, blob, pos)
+        pos += size
+        return out
+
+    (magic,) = take("<4s")
     if magic != MAGIC:
         raise ModelFileError(f"not a forest model file (magic {magic!r})")
-    (version,) = reader.take("<H")
+    (version,) = take("<H")
     if version != FORMAT_VERSION:
         raise ModelFileError(f"unsupported model format version {version}")
-    n_est, min_leaf, min_split, seed, max_feat, n_trees = reader.take("<IIIqII")
+    n_est, min_leaf, min_split, seed, max_feat, n_trees = take("<IIIqII")
     try:
         hp = ForestHyperparams(
             n_estimators=n_est, min_samples_leaf=min_leaf,
@@ -393,15 +386,15 @@ def load_model(path) -> ForestModel:
 
     trees = []
     for t in range(n_trees):
-        (n_nodes,) = reader.take("<I")
+        (n_nodes,) = take("<I")
         nodes, counts = [], []  # (feature, threshold, left, right), leaf counts
         for _ in range(n_nodes):
-            (kind,) = reader.take("<B")
+            (kind,) = take("<B")
             if kind == 0:
                 nodes.append((LEAF, 0.0, 0, 0))
-                counts.append(reader.take("<10I"))
+                counts.append(take("<10I"))
             elif kind == 1:
-                nodes.append(reader.take("<IdII"))
+                nodes.append(take("<IdII"))
                 counts.append((0,) * N_CLASSES)
             else:
                 raise ModelFileError(f"tree {t}: unknown node kind {kind}")
@@ -415,6 +408,6 @@ def load_model(path) -> ForestModel:
             ))
         except ValueError as exc:
             raise ModelFileError(f"tree {t}: {exc}") from None
-    if reader.pos != len(blob):
+    if pos != len(blob):
         raise ModelFileError("trailing data after model payload")
     return ForestModel(trees=trees, hyperparams=hp)

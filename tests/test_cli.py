@@ -365,6 +365,18 @@ class TestDecodeSynthPipeline:
                    "--model", str(model_file)) == 0
         assert (out / "out.wav").exists()
 
+    def test_demo_decodes_the_gen_data_movement(self, tmp_path, model_file):
+        # the demo's recording is gen-data's 500-step movement for the seed
+        assert run("--out", str(tmp_path / "demo"), "--seed", "7", "pipeline",
+                   "--model", str(model_file)) == 0
+        assert run("--out", str(tmp_path / "gen"), "--seed", "7", "gen-data",
+                   "--movement-steps", "500") == 0
+        assert run("--out", str(tmp_path / "file"), "pipeline", "--data",
+                   str(tmp_path / "gen" / "movement.csv"), "--model", str(model_file)) == 0
+        for name in ("metrics.json", "angles.csv", "f0.csv", "out.wav"):
+            assert (tmp_path / "demo" / name).read_bytes() == \
+                (tmp_path / "file" / name).read_bytes(), name
+
     def test_metrics_recomputable_from_csvs(self, tmp_path, movement_csv, model_file):
         from neurof0.arm import ArmModel, equilibrium_angle
 

@@ -1,10 +1,12 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from helpers import optimal_stump
 
+from neurof0 import forest
 from neurof0.datagen import SynthConfig, generate_dataset
 from neurof0.eeg import ActivationClass, EegFrame, LabeledDataset
 from neurof0.errors import ModelFileError
@@ -21,6 +23,22 @@ from neurof0.forest import (
     save_model,
     train,
 )
+
+
+@pytest.fixture()
+def searched(monkeypatch):
+    """The row count of every _best_split call, which fails past 10,000
+    calls: a split that sent every row left would repeat its node forever."""
+    sizes = []
+    search = forest._best_split
+
+    def counting(XT, y_onehot, idx, feats, min_leaf):
+        sizes.append(len(idx))
+        assert len(sizes) < 10_000, "the split search does not end"
+        return search(XT, y_onehot, idx, feats, min_leaf)
+
+    monkeypatch.setattr(forest, "_best_split", counting)
+    return sizes
 
 
 def frame_with(feature0: float, index: int = 0) -> EegFrame:
@@ -151,6 +169,16 @@ class TestTraining:
         save_model(model, tmp_path / "m.nf0f")
         assert hashlib.sha256((tmp_path / "m.nf0f").read_bytes()).hexdigest() == digest
 
+    def test_nodes_too_small_to_cut_are_not_searched(self, tmp_path, searched):
+        # a node of fewer than 2 * min_samples_leaf rows has no valid cut:
+        # it becomes a leaf unsearched, after the draws of a fruitless walk
+        (n, snr_db, seed), hp, digest = self.PINNED[3]
+        hp = ForestHyperparams(**hp)
+        model = train(generate_dataset(SynthConfig(n_samples=n, snr_db=snr_db, seed=seed)), hp)
+        assert searched and min(searched) >= 2 * hp.min_samples_leaf
+        save_model(model, tmp_path / "m.nf0f")
+        assert hashlib.sha256((tmp_path / "m.nf0f").read_bytes()).hexdigest() == digest
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             train(LabeledDataset(frames=[], labels=[]))
@@ -185,6 +213,36 @@ class TestTraining:
             np.testing.assert_array_equal(t_small.left, t_large.left)
             np.testing.assert_array_equal(t_small.right, t_large.right)
             np.testing.assert_array_equal(t_small.class_counts, t_large.class_counts)
+
+
+# adjacent feature values whose midpoint overflows to inf (or -inf) or
+# rounds onto the upper value, and a pair whose difference would overflow
+EDGE_PAIRS = [(1e308, 1.7e308), (-1.7e308, -1e308), (1 + 2**-52, 1 + 2**-51),
+              (-1.7e308, 1.7e308)]
+
+
+class TestSplitThresholds:
+    @pytest.mark.parametrize("a, b", EDGE_PAIRS)
+    def test_threshold_separates_the_values(self, a, b):
+        XT = np.full((100, 2), [a, b])
+        best = forest._best_split(XT, np.eye(10, dtype=np.int8)[[0, 1]], np.array([0, 1]),
+                                  [0], 1)
+        assert best is not None
+        assert a <= best[2] < b
+
+    @pytest.mark.parametrize("a, b", EDGE_PAIRS)
+    @pytest.mark.parametrize("n_rows, n_edge", [(20, 100), (200, 1)])
+    def test_fit_splits_between_the_values(self, searched, a, b, n_rows, n_edge):
+        # classes 1 and 2 alternate; the first n_edge features take a for
+        # class 1 and b for class 2, the others are noise
+        y = np.arange(n_rows) % 2 + 1
+        X = np.random.default_rng(1).normal(size=(n_rows, 100))
+        X[:, :n_edge] = np.where(y == 1, a, b)[:, None]
+        model = fit(X, y)
+        for tree in model.trees:
+            edge = (tree.feature != LEAF) & (tree.feature < n_edge)
+            assert ((a <= tree.threshold[edge]) & (tree.threshold[edge] < b)).all()
+        assert predict_batch(model, X)[0].tolist() == y.tolist()
 
 
 class TestPrediction:
@@ -311,6 +369,18 @@ class TestSerialization:
         save_model(model, path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ModelFileError):
+            load_model(path)
+
+    def test_nan_threshold_refused(self, tmp_path):
+        path = tmp_path / "m.nf0f"
+        save_model(self.make_model(), path)
+        blob = bytearray(path.read_bytes())
+        # magic, version and hyperparameters (34 bytes), the node count (4),
+        # then the root: kind (1), feature (4) and threshold (8)
+        assert blob[38] == 1
+        blob[43:51] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFileError, match="tree 0: node 0: threshold is NaN"):
             load_model(path)
 
 

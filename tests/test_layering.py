@@ -17,7 +17,8 @@ from neurof0 import cli, eeg, pipeline
 
 OBJECT_APIS = {"ActivationClass", "EegFrame", "derive_labels", "window_frames",
                "predict_trajectory", "split_dataset", "from_classes",
-               "generate_dataset", "dataset_to_recording", "LabeledDataset"}
+               "generate_dataset", "generate_movement", "dataset_to_recording",
+               "LabeledDataset"}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
