@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eeg import CONTROL_DT_S, ActivationClass, _readonly, nearest_classes
+from .eeg import CONTROL_DT_S, ActivationClass, _vector, nearest_classes
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,7 @@ class AngleTrajectory:
     angles_deg: Sequence[float]
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.angles_deg, dtype=float))
-        if arr.ndim != 1:
-            raise ValueError("angles_deg must be one-dimensional")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("angles contain non-finite values")
-        object.__setattr__(self, "angles_deg", _readonly(arr))
+        object.__setattr__(self, "angles_deg", _vector(self.angles_deg, "angles_deg"))
 
     def __len__(self) -> int:
         return int(self.angles_deg.size)

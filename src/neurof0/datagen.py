@@ -2,7 +2,7 @@
 
 Stands in for recorded data at desk scale and doubles as a ground-truth
 oracle for end-to-end tests. Each activation class k is encoded as a
-carrier sinusoid of amplitude k * amp_per_class microvolts on all ten
+carrier sinusoid of amplitude k * AMP_PER_CLASS microvolts on all ten
 channels; independent white Gaussian noise is added per channel and
 sample, scaled so each frame individually meets the configured SNR:
 
@@ -10,7 +10,7 @@ sample, scaled so each frame individually meets the configured SNR:
 
 with P_signal the mean square of the frame's noiseless values. The
 carrier phase runs continuously across the recording (sample t has phase
-2*pi*carrier_hz*t/fs), as in a real multi-window recording, so a frame's
+2*pi*CARRIER_HZ*t/fs), as in a real multi-window recording, so a frame's
 ordinal determines its phase offset. Amplitude, not frequency, encodes
 the class: a least-squares projection onto the known carrier segment
 recovers the amplitude analytically, which makes classifier correctness
@@ -38,6 +38,9 @@ from .eeg import (
     window_frames,
 )
 
+CARRIER_HZ = 20.0
+AMP_PER_CLASS = 5.0
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -46,36 +49,29 @@ class SynthConfig:
     n_samples: int = 500
     snr_db: float = 40.0
     seed: int = 0
-    carrier_hz: float = 20.0
-    amp_per_class: float = 5.0
 
     def __post_init__(self):
         if self.n_samples < 10:
             raise ValueError("n_samples must be at least 10 (one per class)")
-        if not 0 < self.carrier_hz < SAMPLE_RATE_HZ / 2:
-            raise ValueError("carrier_hz must lie below the Nyquist frequency")
-        if not self.amp_per_class > 0:
-            raise ValueError("amp_per_class must be positive")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number (use inf for noiseless)")
 
 
 def _eeg(cfg: SynthConfig, classes, rng: np.random.Generator) -> np.ndarray:
     """The class signal of per-frame classes (class_indices) on all channels,
-    plus noise scaled per frame. Raises ValueError, naming snr_db and
-    amp_per_class, when they make any sample non-finite."""
+    plus noise scaled per frame. Raises ValueError, naming snr_db, when it
+    makes any sample non-finite."""
     t = np.arange(len(classes) * SAMPLES_PER_FRAME) / SAMPLE_RATE_HZ
     with np.errstate(all="ignore"):
-        amps = np.repeat(class_indices(classes) * cfg.amp_per_class, SAMPLES_PER_FRAME)
-        clean = amps * np.sin(2.0 * math.pi * cfg.carrier_hz * t)
+        amps = np.repeat(class_indices(classes) * AMP_PER_CLASS, SAMPLES_PER_FRAME)
+        clean = amps * np.sin(2.0 * math.pi * CARRIER_HZ * t)
         out = np.tile(clean, (N_CHANNELS, 1))
         if cfg.snr_db != math.inf:  # -inf, all noise, is refused below
             frame_power = np.mean(clean.reshape(-1, SAMPLES_PER_FRAME) ** 2, axis=1)
             sigma = np.sqrt(frame_power / np.float64(10.0) ** (cfg.snr_db / 10.0))
             out += rng.normal(0.0, 1.0, size=out.shape) * np.repeat(sigma, SAMPLES_PER_FRAME)
     if not np.isfinite(out).all():
-        raise ValueError(f"synthetic EEG is not finite at snr_db={cfg.snr_db}, "
-                         f"amp_per_class={cfg.amp_per_class}")
+        raise ValueError(f"synthetic EEG is not finite at snr_db={cfg.snr_db}")
     return out
 
 
@@ -152,14 +148,13 @@ def oracle_classify(frame: EegFrame, cfg: SynthConfig) -> ActivationClass:
     least-squares amplitude estimate; the class is read off by thresholding
     at the midpoints between class amplitudes. On noiseless frames this is
     exact; it is the Bayes classifier under the generator's Gaussian noise.
+    cfg does not change the result: every config has the same carrier.
     """
     t = (frame.index * SAMPLES_PER_FRAME + np.arange(SAMPLES_PER_FRAME)) / SAMPLE_RATE_HZ
-    template = np.sin(2.0 * math.pi * cfg.carrier_hz * t)
-    norm = float(template @ template)
-    if norm <= 0.0:
-        raise ValueError("degenerate carrier segment; cannot estimate amplitude")
+    template = np.sin(2.0 * math.pi * CARRIER_HZ * t)
+    norm = float(template @ template)  # > 1.2: the carrier repeats every 5 frames
     amp_hat = float(template @ frame.values.mean(axis=0)) / norm
-    k = int(math.floor(amp_hat / cfg.amp_per_class + 0.5))
+    k = int(math.floor(amp_hat / AMP_PER_CLASS + 0.5))
     return ActivationClass(min(10, max(1, k)))
 
 

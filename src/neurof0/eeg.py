@@ -40,6 +40,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _vector(values, name: str) -> np.ndarray:
+    """values as a read-only float vector (a scalar is a vector of one);
+    raises ValueError naming name unless they are finite and 1-D."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if arr.ndim != 1 or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be a finite 1-D vector")
+    return _readonly(arr)
+
+
 @dataclass(frozen=True, order=True)
 class ActivationClass:
     """One of the ten discretized muscle-activation levels {0.1, ..., 1.0}.
@@ -124,11 +133,14 @@ class EegFrame:
 class EegRecording:
     """Multichannel EEG time series with optional elbow-angle kinematics.
 
-    samples has shape (n_channels, n_samples), sampled at 1000 Hz;
-    kinematics, when present, holds one angle in degrees per whole 0.01 s
-    window (n_samples // 10 of them; a trailing partial window has none).
-    Any other count raises ValueError, as does a channel named angle_deg,
-    the CSV column that holds the kinematics.
+    samples has shape (10, n_samples) with n_samples >= 1, all finite, at
+    1000 Hz; kinematics, when present, is a finite 1-D vector of one angle
+    in degrees per whole 0.01 s window (n_samples // 10; a trailing partial
+    window has none). No channel name is angle_deg, the kinematics column,
+    or is what a UTF-8 CSV header cell cannot keep: one with surrounding
+    whitespace, a carriage return or a surrogate, or one longer than the
+    csv field size limit. Anything else raises ValueError, so
+    load_recording_csv reads back whatever write_recording_csv writes.
     """
 
     samples: np.ndarray
@@ -137,19 +149,26 @@ class EegRecording:
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("samples must be a 2-D channels x samples array")
+        if arr.ndim != 2 or not arr.shape[1]:
+            raise ValueError("samples must be a 2-D channels x samples array, not empty")
         names = tuple(str(n) for n in self.channel_names)
         if arr.shape[0] != len(names):
-            raise ValueError(
-                f"{arr.shape[0]} channel rows but {len(names)} channel names"
-            )
+            raise ValueError(f"{arr.shape[0]} channel rows but {len(names)} channel names")
+        if len(names) != N_CHANNELS:
+            raise ValueError(f"expected {N_CHANNELS} signal columns, found {len(names)}")
+        for name in names:
+            if (name != name.strip() or "\r" in name or len(name) > csv.field_size_limit()
+                    or any("\ud800" <= c <= "\udfff" for c in name)):
+                raise ValueError(f"channel name {name!r:.60} cannot be a CSV header cell")
         if ANGLE_COLUMN in names:
             raise ValueError(f"{ANGLE_COLUMN!r} names the kinematics column, not a channel")
+        if not np.isfinite(arr).all():
+            ch, i = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(f"non-finite sample {arr[ch, i]} at index {i} of channel {names[ch]}")
         object.__setattr__(self, "samples", _readonly(arr))
         object.__setattr__(self, "channel_names", names)
         if self.kinematics is not None:
-            kin = _readonly(np.atleast_1d(self.kinematics))
+            kin = _vector(self.kinematics, "kinematics")
             n_frames = arr.shape[1] // SAMPLES_PER_FRAME
             if len(kin) != n_frames:
                 raise ValueError(f"{len(kin)} kinematic values for {n_frames} "
@@ -332,15 +351,11 @@ def _csv_cells(path):
 
 def _recording(path, header: Sequence[str], cells: np.ndarray) -> EegRecording:
     """The recording that a tokenizer's header and cells (in row order,
-    overwritten here) hold, or a DataError naming the file: a wrong channel
-    count, no data rows, an angle off a window's first row or a non-finite
-    sample (naming the row and column), or whatever EegRecording refuses."""
+    overwritten here) hold, or a DataError naming the file: no data rows,
+    an angle off a window's first row or a non-finite sample (naming the
+    row and column), or whatever EegRecording refuses."""
     angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
     channel_names = [h for i, h in enumerate(header) if i != angle_col]
-    if len(channel_names) != N_CHANNELS:
-        raise DataError(
-            f"{path}: expected {N_CHANNELS} signal columns, found {len(channel_names)}"
-        )
     if not cells.size:
         raise DataError(f"{path}: no data rows")
     table = cells.reshape(-1, len(header))
@@ -360,7 +375,7 @@ def _recording(path, header: Sequence[str], cells: np.ndarray) -> EegRecording:
         table = table[:, :-1]
     bad = np.flatnonzero(~np.isfinite(table))
     if bad.size:  # _cell_value raises, naming the first bad cell
-        row, col = divmod(int(bad[0]), N_CHANNELS)
+        row, col = divmod(int(bad[0]), len(channel_names))
         _cell_value(repr(float(table.flat[bad[0]])), path, row + 2, channel_names[col])
     try:
         return EegRecording(samples=table.T, channel_names=channel_names, kinematics=kinematics)
@@ -446,16 +461,10 @@ def window_matrix(rec: EegRecording) -> np.ndarray:
             f"recording has {rec.n_samples} samples, fewer than one "
             f"{SAMPLES_PER_FRAME}-sample window"
         )
-    if rec.n_channels != N_CHANNELS:
-        raise ValueError(f"frame must have {N_CHANNELS} channels, got {rec.n_channels}")
-    X = (rec.samples[:, :n_frames * SAMPLES_PER_FRAME]
-         .reshape(N_CHANNELS, n_frames, SAMPLES_PER_FRAME)
-         .transpose(1, 0, 2)
-         .reshape(n_frames, N_CHANNELS * SAMPLES_PER_FRAME))
-    bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
-    if bad.size:
-        raise ValueError(f"frame {int(bad[0])} contains non-finite values")
-    return X
+    return (rec.samples[:, :n_frames * SAMPLES_PER_FRAME]
+            .reshape(N_CHANNELS, n_frames, SAMPLES_PER_FRAME)
+            .transpose(1, 0, 2)
+            .reshape(n_frames, N_CHANNELS * SAMPLES_PER_FRAME))
 
 
 def window_frames(rec: EegRecording) -> list[EegFrame]:

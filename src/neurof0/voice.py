@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .arm import CONTROL_DT_S, AngleTrajectory
-from .eeg import _readonly
+from .eeg import _vector
 
 F0_MIN_HZ = 1500.0
 F0_MAX_HZ = 5150.0
@@ -40,10 +40,10 @@ class F0Trajectory:
     values_hz: Sequence[float]
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.values_hz, dtype=float))
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0)):
-            raise ValueError("f0 values must be finite and positive")
-        object.__setattr__(self, "values_hz", _readonly(arr))
+        arr = _vector(self.values_hz, "values_hz")
+        if np.any(arr <= 0):
+            raise ValueError("f0 values must be positive")
+        object.__setattr__(self, "values_hz", arr)
 
     def __len__(self) -> int:
         return int(self.values_hz.size)
@@ -57,10 +57,10 @@ class AudioBuffer:
     sample_rate_hz: int = 44100
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.samples, dtype=float))
-        if arr.size and (not np.all(np.isfinite(arr)) or arr.max() > 1.0 or arr.min() < -1.0):
-            raise ValueError("samples must be finite and within [-1, 1]")
-        object.__setattr__(self, "samples", _readonly(arr))
+        arr = _vector(self.samples, "samples")
+        if arr.size and (arr.max() > 1.0 or arr.min() < -1.0):
+            raise ValueError("samples must be within [-1, 1]")
+        object.__setattr__(self, "samples", arr)
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
 

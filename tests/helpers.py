@@ -337,11 +337,12 @@ def inverse_tracking_reference(model, target_deg, theta0_deg, sub_dt_s: float):
 
 def _clean_signal(cfg, classes) -> np.ndarray:
     """Noiseless single-channel signal for per-frame classes (class_indices)."""
+    from neurof0.datagen import AMP_PER_CLASS, CARRIER_HZ
     from neurof0.eeg import SAMPLE_RATE_HZ, SAMPLES_PER_FRAME, class_indices
 
-    amps = np.repeat(class_indices(classes) * cfg.amp_per_class, SAMPLES_PER_FRAME)
+    amps = np.repeat(class_indices(classes) * AMP_PER_CLASS, SAMPLES_PER_FRAME)
     t = np.arange(len(classes) * SAMPLES_PER_FRAME) / SAMPLE_RATE_HZ
-    return amps * np.sin(2.0 * math.pi * cfg.carrier_hz * t)
+    return amps * np.sin(2.0 * math.pi * CARRIER_HZ * t)
 
 
 def _noisy_channels(cfg, clean: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from neurof0.arm import ArmModel, AngleTrajectory, derive_labels, forward_dynamics, ActivationTrajectory
 from neurof0.datagen import (
+    AMP_PER_CLASS,
     SynthConfig,
     dataset_to_recording,
     generate_dataset,
@@ -21,15 +22,12 @@ NOISELESS = float("inf")
 class TestConfig:
     def test_defaults_valid(self):
         cfg = SynthConfig()
-        assert cfg.n_samples == 500 and cfg.carrier_hz == 20.0
+        assert cfg.n_samples == 500 and cfg.snr_db == 40.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_samples": 9},
-            {"carrier_hz": 500.0},     # at Nyquist
-            {"carrier_hz": -1.0},
-            {"amp_per_class": 0.0},
             {"snr_db": float("nan")},
         ],
     )
@@ -72,7 +70,7 @@ class TestGenerateDataset:
         ds = generate_dataset(cfg)
         ratios = []
         for frame, label in zip(ds.frames, ds.labels):
-            amp = label.index * cfg.amp_per_class
+            amp = label.index * AMP_PER_CLASS
             ratios.append(float(np.mean(frame.values**2)) / (amp**2 / 2.0))
         assert abs(np.mean(ratios) - 1.0) < 0.05
 
@@ -155,8 +153,8 @@ class TestNonFiniteEeg:
     @pytest.mark.parametrize("make", [lambda cfg: generate_movement(cfg, 20)[0],
                                       generate_dataset], ids=["movement", "dataset"])
     def test_overflowing_amplitude_refused(self, make):
-        with pytest.raises(ValueError, match=r"snr_db=inf, amp_per_class=1e\+308"):
-            make(SynthConfig(amp_per_class=1e308, snr_db=NOISELESS))
+        with pytest.raises(ValueError, match=r"^synthetic EEG is not finite at snr_db=-4000.0$"):
+            make(SynthConfig(snr_db=-4000.0))
 
     def test_minus_infinite_snr_refused(self):
         with pytest.raises(ValueError, match="snr_db=-inf"):

@@ -116,6 +116,41 @@ class TestEegRecording:
         with pytest.raises(ValueError):
             EegRecording(samples=np.zeros((10, 5)), channel_names=("a", "b"))
 
+    def test_ten_channels(self):
+        # the wording of a recording CSV with other than ten signal columns
+        with pytest.raises(ValueError, match="^expected 10 signal columns, found 3$"):
+            EegRecording(samples=np.zeros((3, 50)), channel_names="abc")
+
+    def test_at_least_one_sample(self):
+        # a CSV of no data rows does not load
+        with pytest.raises(ValueError, match="not empty"):
+            EegRecording(samples=np.zeros((10, 0)))
+
+    def test_non_finite_sample_named(self):
+        samples = np.zeros((10, 50))
+        samples[3, 27] = np.inf
+        with pytest.raises(ValueError, match="^non-finite sample inf at index 27 of channel F8$"):
+            EegRecording(samples=samples)
+
+    @pytest.mark.parametrize("kinematics", [[[1.0], [2.0]], [1.0, np.nan], [np.inf, 1.0]],
+                             ids=["2-D", "nan", "inf"])
+    def test_kinematics_finite_vector(self, kinematics):
+        with pytest.raises(ValueError, match="^kinematics must be a finite 1-D vector$"):
+            EegRecording(samples=np.zeros((10, 20)), kinematics=kinematics)
+
+    @pytest.mark.parametrize("name", ["x ", " x", "\t", "a\rb", "\r", "a\ud800",
+                                      pytest.param("x" * 131_073, id="over-field-limit")])
+    def test_names_a_header_cannot_carry(self, name):
+        names = (name, *DEFAULT_CHANNELS[1:])
+        with pytest.raises(ValueError, match=f"^channel name {re.escape(repr(name)[:60])} "):
+            EegRecording(samples=np.zeros((10, 20)), channel_names=names)
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "x"', "a\nb", "a\0b", "", "a b"])
+    def test_names_a_header_carries(self, tmp_path, name):
+        rec = EegRecording(samples=np.zeros((10, 20)), channel_names=(name, *DEFAULT_CHANNELS[1:]))
+        write_recording_csv(rec, tmp_path / "r.csv")
+        assert load_recording_csv(tmp_path / "r.csv").channel_names == rec.channel_names
+
     @pytest.mark.parametrize("i", [0, 9])
     def test_angle_column_is_not_a_channel(self, i):
         names = list(DEFAULT_CHANNELS)
@@ -594,12 +629,6 @@ class TestWindowMatrix:
         X = window_matrix(rec)
         assert X.shape == (10, 100)
         np.testing.assert_array_equal(X, [f.features() for f in window_frames(rec)])
-
-    def test_non_finite_frame_named(self):
-        samples = np.zeros((10, 50))
-        samples[3, 27] = np.inf
-        with pytest.raises(ValueError, match="frame 2"):
-            window_matrix(EegRecording(samples=samples))
 
     def test_frame_shape_enforced(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,16 @@ class TestTraining:
         save_model(model, tmp_path / "m.nf0f")
         assert hashlib.sha256((tmp_path / "m.nf0f").read_bytes()).hexdigest() == digest
 
+    def test_node_with_no_cut_becomes_a_leaf(self, searched):
+        # every feature is constant: each mixed root searches one batch of
+        # max_features, then each of the other 90 features alone, finds no
+        # cut and stays a leaf, which votes for its bootstrap's majority
+        model = fit(np.zeros((6, 100)), [1, 1, 1, 2, 2, 3], ForestHyperparams(n_estimators=5))
+        assert searched == [6] * (5 * 91)
+        assert [tree.n_nodes for tree in model.trees] == [1] * 5
+        classes, votes = predict_batch(model, np.zeros((1, 100)))
+        assert classes.tolist() == [1] and votes[0].tolist() == [3, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             train(LabeledDataset(frames=[], labels=[]))

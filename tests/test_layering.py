@@ -70,9 +70,11 @@ def functions_wording(tree, text):
 
 
 @pytest.mark.parametrize("text, owner", [
-    ("signal columns", "_recording"),                    # the channel count
-    ("-row window", "_recording"),                       # angles on window starts
-    ("kinematic values", "EegRecording.__post_init__"),  # the kinematics count
+    ("signal columns", "EegRecording.__post_init__"),     # the channel count
+    ("-row window", "_recording"),                        # angles on window starts
+    ("kinematic values", "EegRecording.__post_init__"),   # the kinematics count
+    ("non-finite sample", "EegRecording.__post_init__"),  # finite samples
+    ("finite 1-D vector", "_vector"),                     # kinematics and trajectories
 ])
 def test_each_recording_rule_in_one_function(text, owner):
     assert functions_wording(ast.parse(inspect.getsource(eeg)), text) == {owner}

@@ -95,6 +95,8 @@ class TestConfig:
         ({"split": 5}, "section 'split' must be a JSON object"),
         ({"paths": {"output": "x"}}, "unknown key(s) ['output'] in config section 'paths'"),
         ({"armz": {}}, "unknown key(s) ['armz'] in the config"),
+        ({"split": {"train_fraction": 1.5}}, "invalid config: train_fraction must be in (0, 1)"),
+        ({"synth": {"amplitude": 1.5}}, "invalid config: synth_amplitude must be within [0, 1]"),
     ])
     def test_rejection_names_section_and_key(self, raw, match):
         with pytest.raises(DataError, match=re.escape(match)):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import (
     _integrate_control_step,
@@ -50,7 +50,15 @@ from neurof0.datagen import (
     ramp_classes,
 )
 from neurof0.cli import cli_main
-from neurof0.eeg import ActivationClass, EegRecording, load_recording_csv, write_recording_csv
+from neurof0.eeg import (
+    ANGLE_COLUMN,
+    DEFAULT_CHANNELS,
+    ActivationClass,
+    EegRecording,
+    load_recording_csv,
+    write_columns,
+    write_recording_csv,
+)
 from neurof0.errors import DataError, ModelFileError
 from neurof0.forest import LEAF, ForestHyperparams, load_model, predict_batch, save_model, train
 from neurof0.pipeline import PipelineConfig, _snap_to_class_angles, evaluate_static, load_config
@@ -369,6 +377,37 @@ class TestCsvRoundTrip:
         assert back.samples.view(np.uint64).tolist() == rec.samples.view(np.uint64).tolist()
         assert back.kinematics.view(np.uint64).tolist() == rec.kinematics.view(np.uint64).tolist()
 
+    @settings(SETTINGS, max_examples=200)
+    @given(data=st.data())
+    def test_every_recording_round_trips(self, data):
+        # EegRecording refuses what a recording CSV cannot hold, so whatever
+        # it accepts loads back from write_recording_csv unchanged
+        n_channels = data.draw(st.sampled_from([10, 9, 11]))
+        n_samples = data.draw(st.integers(0, 25))
+        samples = data.draw(arrays(np.float64, (n_channels, n_samples),
+                                   elements=st.floats(width=64)))
+        chars = st.characters() | st.characters(categories=["Cs"])  # surrogates too
+        names = data.draw(st.lists(st.sampled_from(DEFAULT_CHANNELS) | st.text(chars, max_size=50),
+                                   min_size=n_channels, max_size=n_channels))
+        shapes = st.just((n_samples // 10,)) | array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                            max_side=3)
+        kinematics = data.draw(st.none() | arrays(np.float64, shapes,
+                                                  elements=st.floats(width=64)))
+        try:
+            rec = EegRecording(samples, channel_names=names, kinematics=kinematics)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            write_recording_csv(rec, path)
+            back = load_recording_csv(path)
+        assert back.channel_names == rec.channel_names
+        assert back.samples.view(np.uint64).tolist() == rec.samples.view(np.uint64).tolist()
+        assert (back.kinematics is None) == (rec.kinematics is None)
+        if rec.kinematics is not None:
+            assert (back.kinematics.view(np.uint64).tolist()
+                    == rec.kinematics.view(np.uint64).tolist())
+
 
 class TestGenDataset:
     """gen-data and generate_dataset against the frame-by-frame generator."""
@@ -485,18 +524,24 @@ def gen_data_csv() -> bytes:
 
 
 def recording_blob(data) -> bytes:
-    """Mutated gen-data output, or a generated recording mutated or not:
-    finite or not, with or without kinematics, partial last window."""
+    """Mutated gen-data output, or a recording CSV mutated or not: samples
+    finite or not, with or without kinematics, partial last window. The CSV
+    is laid out as write_recording_csv lays it out, but written through
+    write_columns, as no EegRecording holds a non-finite sample."""
     if data.draw(st.booleans()):
         return mutate(data, gen_data_csv())
     n = data.draw(st.integers(1, 45))
     samples = data.draw(arrays(np.float64, (10, n), elements=st.floats(width=64)))
-    kinematics = None
+    header, columns = list(DEFAULT_CHANNELS), list(samples)
     if data.draw(st.booleans()):
         kinematics = data.draw(arrays(np.float64, n // 10, elements=FINITE))
+        angles = [None] * n
+        angles[:len(kinematics) * 10:10] = kinematics.tolist()
+        header.append(ANGLE_COLUMN)
+        columns.append(angles)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "r.csv"
-        write_recording_csv(EegRecording(samples, kinematics=kinematics), path)
+        write_columns(path, header, columns)
         blob = path.read_bytes()
     return mutate(data, blob) if data.draw(st.booleans()) else blob
 

@@ -139,6 +139,15 @@ class TestAudioBuffer:
         with pytest.raises(ValueError):
             F0Trajectory(values_hz=[float("inf")])
 
+    @pytest.mark.parametrize("make, values", [
+        (F0Trajectory, [[2000.0], [3000.0]]),  # synthesize would render it as 2 steps
+        (AudioBuffer, np.zeros((2, 3))),
+        (AngleTrajectory, [[10.0, 20.0]]),
+    ], ids=["f0", "audio", "angles"])
+    def test_vectors_are_one_dimensional(self, make, values):
+        with pytest.raises(ValueError, match="must be a finite 1-D vector"):
+            make(values)
+
 
 class TestWav:
     def test_one_second_file_size(self, tmp_path):
