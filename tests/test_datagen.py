@@ -28,6 +28,9 @@ class TestConfig:
         "kwargs",
         [
             {"n_samples": 9},
+            {"n_samples": 0},
+            {"n_samples": -1},
+            {"n_samples": 9, "snr_db": float("nan")},
             {"snr_db": float("nan")},
         ],
     )
