@@ -46,6 +46,13 @@ class ArmModel:
                      "moment_arm_m", "gravity_ms2"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # the dynamics and the labels divide by these; an infinite one stays
+        # allowed and is reported as divergence
+        for name, value in (("inertia m * L^2 / 3", self.inertia_kgm2),
+                            ("gravity torque m * g * L / 2", self.gravity_torque_max_nm),
+                            ("muscle torque Fmax * r", self.max_muscle_force_n * self.moment_arm_m)):
+            if not value > 0:
+                raise ValueError(f"{name} underflows to {value}")
         if self.damping_nms < 0:
             raise ValueError("damping_nms must be non-negative")
         if not self.angle_min_deg < self.angle_max_deg:

@@ -67,61 +67,52 @@ class ForestHyperparams:
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """Flat preorder node arrays; feature == LEAF marks a leaf.
+    """One tree as its nodes in preorder; feature == LEAF marks a leaf.
 
     class_counts holds the bootstrap-sample class histogram of every node
     (meaningful for prediction at leaves, where it may not be all zero).
-    Every internal node i splits on a feature in 0..99 at a threshold that
-    is not NaN and has left == i + 1 and i + 1 < right < n_nodes, and a
-    preorder walk from the root meets the nodes in id order, each once.
-    Child ids thus strictly increase along every path, which makes every
-    traversal end.
+    Every internal node splits on a feature in 0..99 at a threshold that is
+    not NaN. The node kinds alone fix the links, which are derived into the
+    read-only left and right arrays (0 on leaves): an internal node's left
+    child is the next node and its right child the first node after its
+    left subtree. Child ids thus strictly increase along every path, which
+    makes every traversal end.
     """
 
     feature: np.ndarray       # int, LEAF for leaves
     threshold: np.ndarray     # float64, 0.0 for leaves
-    left: np.ndarray          # int child ids, 0 for leaves
-    right: np.ndarray         # int child ids, 0 for leaves
     class_counts: np.ndarray  # int64, (n_nodes, N_CLASSES)
 
     def __post_init__(self):
         n = len(self.feature)
         if n == 0:
             raise ValueError("tree has no nodes")
-        for name in ("threshold", "left", "right"):
-            if len(getattr(self, name)) != n:
-                raise ValueError("node arrays must have equal length")
+        if len(self.threshold) != n:
+            raise ValueError("node arrays must have equal length")
         if self.class_counts.shape != (n, N_CLASSES):
             raise ValueError("class_counts must be (n_nodes, 10)")
-
-        ids = np.arange(n)
         inner = self.feature != LEAF
-        bad = inner & ~((self.feature >= 0) & (self.feature < N_FEATURES)
-                        & (self.left == ids + 1)
-                        & (self.right > ids + 1) & (self.right < n))
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"node {i}: feature {self.feature[i]}, children {self.left[i]} and "
-                f"{self.right[i]} break the preorder layout of {n} nodes"
-            )
-        nan = inner & np.isnan(self.threshold)
-        if nan.any():
-            raise ValueError(f"node {int(np.flatnonzero(nan)[0])}: threshold is NaN")
-        empty = ~inner & (self.class_counts.sum(axis=1) == 0)
-        if empty.any():
-            raise ValueError(f"node {int(np.flatnonzero(empty)[0])}: leaf with no class counts")
-        inner, right = inner.tolist(), self.right.tolist()
-        stack, expected = [0], 0
-        while stack:
-            i = stack.pop()
-            if i != expected:
-                raise ValueError(f"node {i} is reached where preorder expects node {expected}")
-            expected += 1
-            if inner[i]:
-                stack += (right[i], i + 1)
-        if expected != n:
-            raise ValueError(f"node {expected} is not reachable from the root")
+        for bad, rule in (
+                (inner & ((self.feature < 0) | (self.feature >= N_FEATURES)),
+                 f"feature is not in 0..{N_FEATURES - 1}"),
+                (inner & np.isnan(self.threshold), "threshold is NaN"),
+                (~inner & (self.class_counts.sum(axis=1) == 0), "leaf with no class counts")):
+            if bad.any():
+                raise ValueError(f"node {int(np.flatnonzero(bad)[0])}: {rule}")
+
+        right, waiting = [0] * n, []  # waiting: internal nodes whose right child is to come
+        for i, internal in enumerate(inner.tolist()):
+            if internal:
+                waiting.append(i)
+            elif i + 1 < n:  # the next node starts the right subtree of the latest waiting node
+                if not waiting:
+                    raise ValueError(f"node {i + 1} is not reachable from the root")
+                right[waiting.pop()] = i + 1
+        if waiting:
+            raise ValueError(f"node {waiting[-1]}: the tree ends before its right subtree")
+        # not fields: frozen, they cannot be reassigned
+        object.__setattr__(self, "left", np.where(inner, np.arange(1, n + 1), 0))
+        object.__setattr__(self, "right", np.array(right))
 
     @property
     def n_nodes(self) -> int:
@@ -200,19 +191,15 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, y_onehot: np.ndarray,
     n = len(y)
     boot = np.fromiter((rng.below(n) for _ in range(n)), dtype=np.int64, count=n)
 
-    feature, threshold, right, counts = [], [], [], []  # per node, in preorder
-    # preorder build with an explicit stack: a left child is popped right after
-    # its parent, so its id is the parent's + 1; only right ids are patched
-    stack = [(boot, None)]  # (sample indices, parent id if a right child)
+    feature, threshold, counts = [], [], []  # per node, in preorder
+    # depth-first with an explicit stack that pops a left child right after
+    # its parent: nodes are numbered in preorder, which fixes every link
+    stack = [boot]  # sample indices of the nodes still to build
     while stack:
-        idx, parent = stack.pop()
-        node_id = len(feature)
-        if parent is not None:
-            right[parent] = node_id
+        idx = stack.pop()
         node_counts = np.bincount(y[idx], minlength=N_CLASSES).astype(np.int64)
         feature.append(LEAF)
         threshold.append(0.0)
-        right.append(0)
         counts.append(node_counts)
 
         if len(idx) < hp.min_samples_split or np.count_nonzero(node_counts) <= 1:
@@ -238,24 +225,18 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, y_onehot: np.ndarray,
         if best is None:
             continue
         _, f, thr = best
-        feature[node_id] = f
-        threshold[node_id] = thr
+        feature[-1] = f
+        threshold[-1] = thr
         mask = XT[f, idx] <= thr
         # right pushed first so the left subtree is built (and numbered) first
-        stack.append((idx[~mask], node_id))
-        stack.append((idx[mask], None))
+        stack.append(idx[~mask])
+        stack.append(idx[mask])
 
     feature_arr = np.array(feature, dtype=np.int32)
-    inner = feature_arr != LEAF
     class_counts = np.array(counts, dtype=np.int64)
-    class_counts[inner] = 0  # as the model file stores them
-    return DecisionTree(
-        feature=feature_arr,
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.where(inner, np.arange(1, len(feature) + 1, dtype=np.int32), 0),
-        right=np.array(right, dtype=np.int32),
-        class_counts=class_counts,
-    )
+    class_counts[feature_arr != LEAF] = 0  # as the model file stores them
+    return DecisionTree(feature=feature_arr, threshold=np.array(threshold, dtype=np.float64),
+                        class_counts=class_counts)
 
 
 def fit(X: np.ndarray, y: np.ndarray, hp: ForestHyperparams | None = None) -> ForestModel:
@@ -401,13 +382,20 @@ def load_model(path) -> ForestModel:
         # float64 holds every u32 id exactly
         feature, threshold, left, right = np.array(nodes, dtype=np.float64).reshape(n_nodes, 4).T
         try:
-            trees.append(DecisionTree(
+            tree = DecisionTree(
                 feature=feature.astype(np.int64), threshold=threshold,
-                left=left.astype(np.int64), right=right.astype(np.int64),
                 class_counts=np.array(counts, dtype=np.int64).reshape(n_nodes, N_CLASSES),
-            ))
+            )
         except ValueError as exc:
             raise ModelFileError(f"tree {t}: {exc}") from None
+        bad = np.flatnonzero((left != tree.left) | (right != tree.right))
+        if bad.size:
+            i = int(bad[0])
+            raise ModelFileError(
+                f"tree {t}: node {i}: stored children {left[i]:.0f} and {right[i]:.0f}, "
+                f"but the preorder layout puts them at {tree.left[i]} and {tree.right[i]}"
+            )
+        trees.append(tree)
     if pos != len(blob):
         raise ModelFileError("trailing data after model payload")
     return ForestModel(trees=trees, hyperparams=hp)

@@ -172,8 +172,6 @@ def _score(cfg: PipelineConfig, pred: np.ndarray, truth: np.ndarray,
 def _stage(name: str):
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(f"{name} stage failed: {exc}") from exc
 

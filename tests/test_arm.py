@@ -45,6 +45,10 @@ class TestArmModel:
             {"forearm_length_m": -1.0},
             {"damping_nms": -0.1},
             {"angle_min_deg": 90.0, "angle_max_deg": 0.0},
+            # each factor is positive, but a product the model divides by is 0.0
+            {"forearm_length_m": 1e-200},
+            {"forearm_mass_kg": 1e-300, "gravity_ms2": 1e-300},
+            {"max_muscle_force_n": 1e-200, "moment_arm_m": 1e-200},
         ],
     )
     def test_invalid(self, kwargs):
@@ -142,6 +146,11 @@ class TestForwardDynamics:
                          damping_nms=1.0)
         with pytest.raises(FloatingPointError):
             forward_dynamics(model, constant_traj(1.0, 10))
+
+    def test_divergence_names_its_control_step(self):
+        # a damping torque of 1e308 * omega overflows on the first control step
+        with pytest.raises(FloatingPointError, match="^simulation diverged at control step 0$"):
+            forward_states(ArmModel(damping_nms=1e308), constant_traj(1.0, 3))
 
 
 class TestInverseQuasistatic:

@@ -84,6 +84,17 @@ class TestDataErrors:
         assert "n_steps must be at least 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [("simulate", "--constant", "0.5"),
+                                      ("gen-data", "--movement-steps", "20"),
+                                      ("pipeline", "--model", "absent.nf0f")],
+                             ids=["simulate", "gen-data", "pipeline"])
+    def test_arm_inertia_underflow_exits_2(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"arm": {"forearm_length_m": 1e-200}}))
+        assert run("--config", str(cfg), "--out", str(tmp_path / "out"), *argv) == 2
+        assert capsys.readouterr().err == ("nf0: error: invalid config section 'arm': "
+                                           "inertia m * L^2 / 3 underflows to 0.0\n")
+
     @pytest.mark.parametrize("command", ["train", "eval", "decode"])
     def test_data_required(self, tmp_path, command, capsys):
         assert run("--out", str(tmp_path), command) == 2
@@ -97,6 +108,7 @@ class TestDataErrors:
         {"forest": {"seed": 1.5}},
         {"forest": {"n_estimators": 2.5}},
         {"forest": {"seed": 18446744073709551615}},
+        {"arm": {"max_muscle_force_n": 1e-200, "moment_arm_m": 1e-200}},
     ])
     def test_bad_config_value_exits_2_without_traceback(self, tmp_path, dataset_csv, raw):
         cfg = tmp_path / "c.json"

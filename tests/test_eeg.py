@@ -631,5 +631,7 @@ class TestWindowMatrix:
         np.testing.assert_array_equal(X, [f.features() for f in window_frames(rec)])
 
     def test_frame_shape_enforced(self):
-        with pytest.raises(ValueError):
-            window_matrix(EegRecording(samples=np.zeros((3, 50)), channel_names="abc"))
+        # the only rule window_matrix keeps: at least one whole window
+        with pytest.raises(ValueError, match="^recording has 5 samples, fewer than one "
+                                             "10-sample window$"):
+            window_matrix(make_recording(5))

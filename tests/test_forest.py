@@ -53,8 +53,6 @@ def leaf_only_tree(class_index: int) -> DecisionTree:
     return DecisionTree(
         feature=np.array([LEAF], dtype=np.int32),
         threshold=np.zeros(1),
-        left=np.zeros(1, dtype=np.int32),
-        right=np.zeros(1, dtype=np.int32),
         class_counts=counts,
     )
 
@@ -393,36 +391,69 @@ class TestSerialization:
         with pytest.raises(ModelFileError, match="tree 0: node 0: threshold is NaN"):
             load_model(path)
 
+    def test_tree_without_nodes_refused(self, tmp_path):
+        path = tmp_path / "m.nf0f"
+        save_model(ForestModel(trees=[leaf_only_tree(1)],
+                               hyperparams=ForestHyperparams(n_estimators=1)), path)
+        path.write_bytes(path.read_bytes()[:34] + struct.pack("<I", 0))
+        with pytest.raises(ModelFileError, match="^tree 0: tree has no nodes$"):
+            load_model(path)
 
-def tree_from(nodes) -> DecisionTree:
-    """nodes: (feature, threshold, left, right) per node; leaves vote class 1."""
-    feature, threshold, left, right = (np.array(c) for c in zip(*nodes))
-    counts = np.zeros((len(nodes), 10), dtype=np.int64)
+    @pytest.mark.parametrize("feature, links", [
+        ([0, LEAF, LEAF], (0, 2)),  # backward left child
+        ([0, LEAF, LEAF], (2, 1)),  # children swapped
+        ([0, LEAF, LEAF], (1, 3)),  # right child past the end
+        # node 2 is both node 1's left child and node 0's right child
+        ([0, 1, LEAF, LEAF, LEAF], (1, 2)),
+    ])
+    def test_stored_link_off_the_preorder_layout_refused(self, tmp_path, feature, links):
+        path = tmp_path / "m.nf0f"
+        save_model(ForestModel(trees=[tree_from(feature)],
+                               hyperparams=ForestHyperparams(n_estimators=1)), path)
+        blob = bytearray(path.read_bytes())
+        # the root's links are the last 8 of its 21 bytes, which follow the
+        # 34 header bytes and the node count (4)
+        assert blob[38] == 1
+        blob[51:59] = struct.pack("<II", *links)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFileError, match=f"^tree 0: node 0: stored children {links[0]} "
+                                                 f"and {links[1]}, but the preorder"):
+            load_model(path)
+
+
+def tree_from(feature) -> DecisionTree:
+    """The tree of these preorder node features, thresholds 0.0; leaves vote class 1."""
+    feature = np.array(feature, dtype=np.int32)
+    counts = np.zeros((len(feature), 10), dtype=np.int64)
     counts[feature == LEAF, 0] = 1
-    return DecisionTree(feature=feature.astype(np.int32), threshold=threshold.astype(float),
-                        left=left.astype(np.int32), right=right.astype(np.int32),
-                        class_counts=counts)
+    return DecisionTree(feature=feature, threshold=np.zeros(len(feature)), class_counts=counts)
 
 
 class TestPreorderInvariant:
     def test_stump_is_valid(self):
-        tree = tree_from([(0, 1.0, 1, 2), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)])
+        tree = tree_from([0, LEAF, LEAF])
         assert tree.n_nodes == 3
+
+    def test_links_derived_from_the_kinds(self):
+        # 0 splits into 1 and 6; 1 into 2 and 5; 2 into 3 and 4; 6 into 7 and 8
+        tree = tree_from([0, 1, 2, LEAF, LEAF, LEAF, 3, LEAF, LEAF])
+        assert tree.left.tolist() == [1, 2, 3, 0, 0, 0, 7, 0, 0]
+        assert tree.right.tolist() == [6, 5, 4, 0, 0, 0, 8, 0, 0]
+        with pytest.raises(AttributeError):
+            tree.right = tree.left
 
     @pytest.mark.parametrize(
         "nodes,match",
         [
-            # backward left child: a walk from the root would never end
-            ([(0, 0.0, 0, 1), (LEAF, 0.0, 0, 0)], "node 0"),
-            ([(0, 0.0, 2, 1), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 0"),
-            ([(0, 0.0, 1, 3), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 0"),
-            ([(100, 0.0, 1, 2), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 0"),
-            ([(-2, 0.0, 1, 2), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 0"),
-            # node 2 is both node 1's left child and node 0's right child
-            ([(0, 0.0, 1, 2), (1, 0.0, 2, 3), (LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)],
-             "node 2"),
+            # the tree ends before the root's right subtree
+            ([0, LEAF], "node 0"),
+            ([0], "node 0"),
+            ([0, 1, LEAF, LEAF], "node 0"),
+            ([100, LEAF, LEAF], "node 0"),
+            ([-2, LEAF, LEAF], "node 0"),
+            ([0, LEAF, 1, LEAF], "node 2"),
             # node 1 is never reached
-            ([(LEAF, 0.0, 0, 0), (LEAF, 0.0, 0, 0)], "node 1"),
+            ([LEAF, LEAF], "node 1"),
         ],
     )
     def test_rejected(self, nodes, match):
@@ -432,7 +463,6 @@ class TestPreorderInvariant:
     def test_leaf_without_counts_rejected(self):
         with pytest.raises(ValueError, match="node 0: leaf with no class counts"):
             DecisionTree(feature=np.array([LEAF]), threshold=np.zeros(1),
-                         left=np.zeros(1, dtype=np.int32), right=np.zeros(1, dtype=np.int32),
                          class_counts=np.zeros((1, 10), dtype=np.int64))
 
 
@@ -442,8 +472,6 @@ class TestPredictBatch:
         counts[1, 2] = counts[2, 7] = 1
         stump = DecisionTree(feature=np.array([0, LEAF, LEAF], dtype=np.int32),
                              threshold=np.array([1.5, 0.0, 0.0]),
-                             left=np.array([1, 0, 0], dtype=np.int32),
-                             right=np.array([2, 0, 0], dtype=np.int32),
                              class_counts=counts)
         model = ForestModel(trees=[stump], hyperparams=ForestHyperparams(n_estimators=1))
         X = np.zeros((3, 100))

@@ -479,12 +479,12 @@ class TestModelFileFuzz:
             load_blob(model_blob()[:length])
 
     def test_backward_child_is_rejected(self):
-        # node 0 internal with left = 0: a walk from the root would never end
+        # a stump whose root stores left = 0: a walk from the root would never end
         blob = (b"NF0F" + struct.pack("<H", 1) + struct.pack("<IIIqII", 1, 1, 2, 42, 10, 1)
-                + struct.pack("<I", 2)
-                + struct.pack("<BIdII", 1, 0, 0.0, 0, 1)
-                + struct.pack("<B10I", 0, *[1] * 10))
-        with pytest.raises(ModelFileError, match="tree 0: node 0"):
+                + struct.pack("<I", 3)
+                + struct.pack("<BIdII", 1, 0, 0.0, 0, 2)
+                + struct.pack("<B10I", 0, *[1] * 10) * 2)
+        with pytest.raises(ModelFileError, match="tree 0: node 0: stored children 0 and 2"):
             load_blob(blob)
 
 
