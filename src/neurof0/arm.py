@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .eeg import CONTROL_DT_S, ActivationClass, _vector, nearest_classes
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -251,12 +252,23 @@ def inverse_quasistatic(model: ArmModel, target: AngleTrajectory) -> ActivationT
     return ActivationTrajectory(label_classes(model, target.angles_deg) / 10.0)
 
 
-def label_classes(model: ArmModel, angles_deg) -> np.ndarray:
-    """Class index (1..10) that statically produces each angle (see
-    inverse_quasistatic); an angle outside the joint limits raises ValueError."""
+def _static_classes(model: ArmModel, angles_deg) -> np.ndarray:
+    """label_classes without the check that the classes stay apart."""
     ratio = model.gravity_torque_max_nm / (model.max_muscle_force_n * model.moment_arm_m)
     return nearest_classes([ratio * math.sin(math.radians(_check_angle_in_limits(model, t)))
                             for t in np.asarray(angles_deg, dtype=float).tolist()])
+
+
+def label_classes(model: ArmModel, angles_deg) -> np.ndarray:
+    """Class index (1..10) that statically produces each angle (see
+    inverse_quasistatic); an angle outside the joint limits raises ValueError.
+    An arm whose ten class angles all get one label leaves nothing to learn
+    or score, and raises DataError."""
+    labels = _static_classes(model, class_angles(model))
+    if labels.min() == labels.max():
+        raise DataError(f"the arm config labels the angles of all ten classes as class "
+                        f"{labels[0]}, so no two classes can be told apart")
+    return _static_classes(model, angles_deg)
 
 
 def derive_labels(model: ArmModel, kinematics: AngleTrajectory) -> list[ActivationClass]:

@@ -35,6 +35,11 @@ ANGLE_COLUMN = "angle_deg"
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """arr as a read-only float array. One that is read-only already and
+    owns its memory is kept, as synthesize hands over its buffer; a writable
+    array or a view, which a caller could still write through, is copied."""
+    if arr.dtype == float and arr.flags.owndata and not arr.flags.writeable:
+        return arr
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
@@ -44,7 +49,10 @@ def _vector(values, name: str) -> np.ndarray:
     """values as a read-only float vector (a scalar is a vector of one);
     raises ValueError naming name unless they are finite and 1-D."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if arr.ndim != 1 or not np.isfinite(arr).all():
+    # a vector holds a NaN or an infinity exactly when its extremes do; unlike
+    # np.isfinite, min and max allocate nothing the size of the vector
+    if arr.ndim != 1 or (arr.size and not (math.isfinite(arr.min())
+                                           and math.isfinite(arr.max()))):
         raise ValueError(f"{name} must be a finite 1-D vector")
     return _readonly(arr)
 

@@ -20,6 +20,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -30,7 +31,8 @@ from .eeg import EegRecording, class_indices, window_matrix
 from .errors import DataError, PipelineStageError
 from .forest import ForestHyperparams, ForestModel, predict_batch
 from .metrics import MetricsReport, accuracy, rmse
-from .voice import AudioBuffer, F0Mapping, F0Trajectory, map_trajectory, synthesize
+from .voice import (AudioBuffer, F0Mapping, F0Trajectory, _samples_per_step, map_trajectory,
+                    synthesize)
 
 
 @dataclass(frozen=True)
@@ -133,15 +135,23 @@ def load_config(path) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Decoded outputs; with kinematics, also their truth and the metrics."""
+    """Decoded outputs; with kinematics, also their truth and the metrics.
+    The audio is rendered from f0 on first access, so a decode that only
+    writes the trajectories never holds it."""
 
     activations: np.ndarray  # int64 class index 1..10 of each frame
     angles: AngleTrajectory
     f0: F0Trajectory
-    audio: AudioBuffer
+    cfg: PipelineConfig  # the run's config, which sets how audio renders
     metrics: Optional[MetricsReport]
     true_activations: Optional[np.ndarray] = None
     true_f0: Optional[F0Trajectory] = None
+
+    @cached_property
+    def audio(self) -> AudioBuffer:
+        with _stage("synthesis"):
+            return synthesize(self.f0, sample_rate_hz=self.cfg.synth_sample_rate_hz,
+                              amplitude=self.cfg.synth_amplitude)
 
 
 def _snap_to_class_angles(model: ArmModel, angles_deg: np.ndarray) -> np.ndarray:
@@ -192,9 +202,8 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
         angles = forward_dynamics(cfg.arm, ActivationTrajectory(pred / 10.0))
     with _stage("pitch mapping"):
         f0 = map_trajectory(cfg.mapping, angles)
-    with _stage("synthesis"):
-        audio = synthesize(f0, sample_rate_hz=cfg.synth_sample_rate_hz,
-                           amplitude=cfg.synth_amplitude)
+    with _stage("synthesis"):  # checks only: PipelineResult.audio renders
+        _samples_per_step(f0, cfg.synth_sample_rate_hz, cfg.synth_amplitude)
 
     metrics = truth = true_f0 = None
     if rec.kinematics is not None:
@@ -204,7 +213,7 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
         metrics = _score(cfg, pred, truth, angles.angles_deg, true_angles.angles_deg,
                          f0.values_hz, true_f0.values_hz)
     return PipelineResult(activations=pred, angles=angles, f0=f0,
-                          audio=audio, metrics=metrics,
+                          cfg=cfg, metrics=metrics,
                           true_activations=truth, true_f0=true_f0)
 
 

@@ -15,6 +15,9 @@ from .eeg import _vector
 F0_MIN_HZ = 1500.0
 F0_MAX_HZ = 5150.0
 PCM_FULL_SCALE = 32767
+# synthesize and write_wav work on this many control steps of audio at a
+# time, so their temporaries stay small however long the audio is
+_BLOCK_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,9 @@ def map_trajectory(mapping: F0Mapping, angles: AngleTrajectory) -> F0Trajectory:
     return F0Trajectory(mapping.f0_min_hz + frac * (mapping.f0_max_hz - mapping.f0_min_hz))
 
 
-def synthesize(
-    f0: F0Trajectory, sample_rate_hz: int = 44100, amplitude: float = 0.8
-) -> AudioBuffer:
-    """Render an F0 trajectory as a phase-continuous sine tone.
-
-    The frequency is held constant within each 0.01 s control step; the
-    oscillator accumulates phase per sample (phi[n+1] = phi[n] +
-    2*pi*f0/fs, phi[0] = 0), so there are no discontinuities at step
-    boundaries. Output length is len(f0) * fs / 100 samples.
-    """
+def _samples_per_step(f0: F0Trajectory, sample_rate_hz: int, amplitude: float) -> int:
+    """The checks synthesize runs before it renders anything, in its order;
+    returns the number of samples per control step."""
     if len(f0) == 0:
         raise ValueError("f0 trajectory is empty")
     if not 0.0 <= amplitude <= 1.0:
@@ -104,14 +100,35 @@ def synthesize(
         )
     if np.max(f0.values_hz) >= sample_rate_hz / 2:
         raise ValueError("f0 at or above the Nyquist frequency would alias")
-    increments = np.repeat(2.0 * math.pi * f0.values_hz / sample_rate_hz, spc)
-    # one buffer holds the phase, then its sine, then the scaled sine
-    samples = np.empty_like(increments)
-    samples[0] = 0.0
-    np.cumsum(increments[:-1], out=samples[1:])
-    del increments
-    np.sin(samples, out=samples)
-    samples *= amplitude
+    return spc
+
+
+def synthesize(
+    f0: F0Trajectory, sample_rate_hz: int = 44100, amplitude: float = 0.8
+) -> AudioBuffer:
+    """Render an F0 trajectory as a phase-continuous sine tone.
+
+    The frequency is held constant within each 0.01 s control step; the
+    oscillator accumulates phase per sample (phi[n+1] = phi[n] +
+    2*pi*f0/fs, phi[0] = 0), so there are no discontinuities at step
+    boundaries. Output length is len(f0) * fs / 100 samples.
+    """
+    spc = _samples_per_step(f0, sample_rate_hz, amplitude)
+    step_increments = 2.0 * math.pi * f0.values_hz / sample_rate_hz
+    samples = np.empty(len(f0) * spc)
+    phase = 0.0
+    for start in range(0, len(f0), _BLOCK_STEPS):
+        steps = step_increments[start:start + _BLOCK_STEPS]
+        block = samples[start * spc:(start + len(steps)) * spc]
+        # the carried phase leads the block, so cumsum adds in the order a
+        # single cumsum over the whole contour would
+        block[0] = phase
+        block[1:] = np.repeat(steps, spc)[:-1]
+        np.cumsum(block, out=block)
+        phase = block[-1] + steps[-1]
+        np.sin(block, out=block)
+        block *= amplitude
+    samples.setflags(write=False)  # AudioBuffer keeps it without a copy
     return AudioBuffer(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
@@ -128,8 +145,12 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 
 def write_wav(buf: AudioBuffer, path) -> None:
     """Write mono 16-bit little-endian PCM with a standard 44-byte header."""
+    rate = int(buf.sample_rate_hz)
+    block = max(1, round(_BLOCK_STEPS * rate * CONTROL_DT_S))
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(int(buf.sample_rate_hz))
-        wav.writeframes(quantize_pcm16(buf.samples).tobytes())
+        wav.setframerate(rate)
+        wav.setnframes(len(buf))  # the header is final before the first block
+        for start in range(0, len(buf), block):
+            wav.writeframesraw(quantize_pcm16(buf.samples[start:start + block]))

@@ -13,8 +13,10 @@ from neurof0.arm import (
     forward_states,
     inverse_quasistatic,
     inverse_tracking,
+    label_classes,
 )
 from neurof0.eeg import ActivationClass
+from neurof0.errors import DataError
 
 
 def constant_traj(level, n):
@@ -176,6 +178,22 @@ class TestInverseQuasistatic:
 
     def test_empty_kinematics(self):
         assert derive_labels(ArmModel(), AngleTrajectory(angles_deg=[])) == []
+
+    @pytest.mark.parametrize("arm, label", [
+        (ArmModel(max_muscle_force_n=1e308, moment_arm_m=1e5), 1),  # infinite muscle torque
+        (ArmModel(angle_min_deg=80.0), 10),  # classes 1-9 held at the lower stop
+    ], ids=["infinite-torque", "high-lower-stop"])
+    def test_one_label_for_all_classes_refused(self, arm, label):
+        with pytest.raises(DataError, match=f"labels the angles of all ten classes as class {label},"):
+            label_classes(arm, [85.0])
+        with pytest.raises(DataError):
+            derive_labels(arm, AngleTrajectory(angles_deg=[]))
+
+    @pytest.mark.parametrize("force_n", [147.15, 150.0])
+    def test_saturating_arm_still_labels(self, force_n):
+        arm = ArmModel(max_muscle_force_n=force_n)
+        angles = [equilibrium_angle(arm, k / 10.0) for k in range(1, 11)]
+        assert label_classes(arm, angles).tolist() == [1, 2, 3, 4, 5, 5, 5, 5, 5, 5]
 
 
 def tracking_oracle(model, target, theta0_deg):

@@ -10,7 +10,7 @@ import pytest
 from helpers import parse_wav_header
 
 import neurof0
-from neurof0 import cli, eeg
+from neurof0 import cli, eeg, pipeline
 from neurof0.cli import cli_main
 from neurof0.eeg import load_recording_csv
 
@@ -260,6 +260,29 @@ class TestTrainEval:
             assert not (out / "out.wav").exists() and not (out / "metrics.json").exists()
 
 
+class TestArmLabels:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_one_label_arm_refused(self, tmp_path, capsys, dataset_csv, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"arm": {"max_muscle_force_n": 1e308, "moment_arm_m": 1e5}}))
+        out = tmp_path / "run"
+        assert run("--config", str(cfg), "--out", str(out), command,
+                   "--data", str(dataset_csv)) == 2
+        assert capsys.readouterr().err == (
+            "nf0: error: the arm config labels the angles of all ten classes as class 1, "
+            "so no two classes can be told apart\n")
+        assert not (out / "metrics.json").exists() and not (out / "model.nf0f").exists()
+
+    def test_saturating_arm_runs(self, tmp_path, dataset_csv):
+        # classes 5-10 share label 5 under twice the calibrated force; not refused
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"arm": {"max_muscle_force_n": 147.15}}))
+        for command in ("train", "eval"):
+            assert run("--config", str(cfg), "--out", str(tmp_path / "run"), command,
+                       "--data", str(dataset_csv)) == 0
+        assert (tmp_path / "run" / "metrics.json").exists()
+
+
 class TestSimulate:
     def test_constant(self, tmp_path):
         out = tmp_path / "sim"
@@ -347,6 +370,50 @@ class TestDecodeSynthPipeline:
         assert run("--out", str(tmp_path / "syn"), "synth", "--f0", str(src)) == 2
         assert f"{src}: non-finite value 'nan' on row 3, column f0_hz" in capsys.readouterr().err
         assert not (tmp_path / "syn" / "out.wav").exists()
+
+    SYNTH_ERRORS = pytest.mark.parametrize("rate, message", [
+        (8000, "f0 at or above the Nyquist frequency would alias"),
+        (44111, "sample rate 44111 is not a whole number of samples per control step"),
+    ], ids=["nyquist", "samples-per-step"])
+
+    @staticmethod
+    def synth_config(tmp_path, rate):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"synth": {"sample_rate_hz": rate}}))
+        return str(cfg)
+
+    @SYNTH_ERRORS
+    @pytest.mark.parametrize("command", ["decode", "pipeline"])
+    def test_synthesis_errors_exit_2(self, tmp_path, capsys, movement_csv, model_file,
+                                     command, rate, message):
+        out = tmp_path / "out"
+        assert run("--config", self.synth_config(tmp_path, rate), "--out", str(out), command,
+                   "--data", str(movement_csv), "--model", str(model_file)) == 2
+        assert capsys.readouterr().err == f"nf0: error: synthesis stage failed: {message}\n"
+        assert not out.exists()
+
+    @SYNTH_ERRORS
+    def test_synth_errors_exit_2(self, tmp_path, capsys, rate, message):
+        src = tmp_path / "f0.csv"
+        src.write_text("t_s,f0_hz\n0.0,2000.0\n0.01,5150.0\n")
+        out = tmp_path / "out"
+        assert run("--config", self.synth_config(tmp_path, rate), "--out", str(out),
+                   "synth", "--f0", str(src)) == 2
+        assert capsys.readouterr().err == f"nf0: error: {message}\n"
+        assert not out.exists()
+
+    def test_decode_renders_no_audio(self, tmp_path, movement_csv, model_file, monkeypatch):
+        argv = ["decode", "--data", str(movement_csv), "--model", str(model_file)]
+        assert run("--out", str(tmp_path / "plain"), *argv) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode rendered audio")
+
+        monkeypatch.setattr(pipeline, "synthesize", refuse)
+        assert run("--out", str(tmp_path / "patched"), *argv) == 0
+        for name in ("angles.csv", "f0.csv"):
+            assert (tmp_path / "patched" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes(), name
 
     def test_synth_from_f0_csv(self, tmp_path):
         src = tmp_path / "f0.csv"

@@ -36,6 +36,7 @@ from neurof0.arm import (
     ActivationTrajectory,
     AngleTrajectory,
     ArmModel,
+    class_angles,
     derive_labels,
     equilibrium_angle,
     forward_states,
@@ -265,6 +266,21 @@ class TestLabelClasses:
     @given(angles=st.lists(st.floats(0.0, 90.0), max_size=60))
     def test_random_angles(self, arm, angles):
         self.assert_matches_reference(arm, np.array(angles, dtype=float))
+
+    @SETTINGS
+    @given(force_n=st.floats(1e-3, 1e308), moment_m=st.floats(1e-3, 1e5),
+           lo=st.floats(0.0, 89.0), width=st.floats(1e-3, 90.0))
+    @example(force_n=1e308, moment_m=1e5, lo=0.0, width=90.0)  # every angle labels as class 1
+    @example(force_n=73.575, moment_m=0.03, lo=0.0, width=90.0)  # the calibrated default
+    def test_refused_exactly_when_every_class_gets_one_label(self, force_n, moment_m, lo, width):
+        arm = ArmModel(max_muscle_force_n=force_n, moment_arm_m=moment_m,
+                       angle_min_deg=lo, angle_max_deg=min(90.0, lo + width))
+        one_label = len(set(derive_labels_reference(arm, class_angles(arm)))) == 1
+        if one_label:
+            with pytest.raises(DataError, match="all ten classes"):
+                label_classes(arm, [arm.angle_min_deg])
+        else:
+            self.assert_matches_reference(arm, [arm.angle_min_deg, arm.angle_max_deg])
 
 
 @SETTINGS

@@ -15,6 +15,7 @@ from helpers import (
 )
 
 from neurof0.arm import AngleTrajectory
+from neurof0.eeg import EegRecording
 from neurof0.voice import (
     AudioBuffer,
     F0Mapping,
@@ -219,6 +220,25 @@ class TestInPlaceSynthesis:
         assert quantize_pcm16(audio.samples).tobytes() == quantize_pcm16_reference(want).tobytes()
 
     @settings(max_examples=60, deadline=None)
+    @given(steps=st.integers(1, 350), rate=st.sampled_from([8000, 44100, 96000]),
+           amplitude=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(steps=1, rate=44100, amplitude=0.8, seed=0)
+    @example(steps=99, rate=8000, amplitude=1.0, seed=1)
+    @example(steps=100, rate=44100, amplitude=0.8, seed=2)
+    @example(steps=101, rate=96000, amplitude=0.5, seed=3)
+    @example(steps=200, rate=44100, amplitude=0.8, seed=4)
+    def test_blocks_match_reference(self, tmp_path_factory, steps, rate, amplitude, seed):
+        # synthesize and write_wav work 100 control steps at a time
+        fracs = np.random.default_rng(seed).uniform(1e-6, 0.4999, steps)
+        f0 = F0Trajectory(values_hz=fracs * rate)
+        audio = synthesize(f0, sample_rate_hz=rate, amplitude=amplitude)
+        want = synthesize_samples_reference(f0.values_hz, rate, amplitude, rate // 100)
+        assert audio.samples.tobytes() == want.tobytes()
+        path = tmp_path_factory.mktemp("wav") / "blocks.wav"
+        write_wav(audio, path)
+        assert path.read_bytes()[44:] == quantize_pcm16_reference(want).tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(x=arrays(np.float64, st.integers(0, 64), elements=st.floats(-1.0, 1.0)))
     @example(x=np.array([0.0, -0.0, 0.5 / 32767, -0.5 / 32767, 1.0, -1.0]))
     def test_quantize_matches_reference(self, x):
@@ -236,3 +256,38 @@ class TestInPlaceSynthesis:
             tracemalloc.stop()
         assert len(pcm) == 882_000
         assert peak < 2.5 * audio_bytes
+
+    @pytest.mark.parametrize("steps", [2000, 20000])
+    def test_peak_memory_of_synthesis_and_wav_write(self, tmp_path, steps):
+        # the audio itself, plus temporaries of one 100-step block
+        f0 = F0Trajectory(values_hz=np.linspace(1500.0, 5150.0, steps))
+        audio_bytes = steps * 441 * 8
+        tracemalloc.start()
+        try:
+            write_wav(synthesize(f0), tmp_path / "t.wav")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "t.wav").stat().st_size == 44 + 2 * steps * 441
+        assert peak < audio_bytes + 2 * 2**20
+
+
+class TestOwnership:
+    """A read-only array that owns its memory is kept; anything a caller
+    could still write through is copied."""
+
+    def test_synthesize_hands_over_its_buffer(self):
+        samples = synthesize(constant_f0(1500.0, 0.1)).samples
+        assert samples.flags.owndata and not samples.flags.writeable
+        assert AudioBuffer(samples).samples is samples
+
+    @pytest.mark.parametrize("make, shape", [(AudioBuffer, (40,)), (EegRecording, (10, 40))],
+                             ids=["audio", "recording"])
+    def test_writable_arrays_and_views_copied(self, make, shape):
+        base = np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+        frozen_view = base[..., ::2]
+        frozen_view.setflags(write=False)  # base still writes through it
+        for passed in (base, base[..., :20], frozen_view):
+            got = make(passed).samples
+            assert not np.shares_memory(got, base) and not got.flags.writeable
+            np.testing.assert_array_equal(got, passed)
