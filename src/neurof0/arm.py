@@ -259,15 +259,20 @@ def _static_classes(model: ArmModel, angles_deg) -> np.ndarray:
                             for t in np.asarray(angles_deg, dtype=float).tolist()])
 
 
-def label_classes(model: ArmModel, angles_deg) -> np.ndarray:
-    """Class index (1..10) that statically produces each angle (see
-    inverse_quasistatic); an angle outside the joint limits raises ValueError.
-    An arm whose ten class angles all get one label leaves nothing to learn
-    or score, and raises DataError."""
+def _check_classes_apart(model: ArmModel) -> None:
+    """Raise DataError when the arm labels its ten class angles all alike:
+    it leaves nothing to learn or score, nor to generate data for."""
     labels = _static_classes(model, class_angles(model))
     if labels.min() == labels.max():
         raise DataError(f"the arm config labels the angles of all ten classes as class "
                         f"{labels[0]}, so no two classes can be told apart")
+
+
+def label_classes(model: ArmModel, angles_deg) -> np.ndarray:
+    """Class index (1..10) that statically produces each angle (see
+    inverse_quasistatic); an angle outside the joint limits raises ValueError,
+    and an arm that _check_classes_apart refuses raises DataError."""
+    _check_classes_apart(model)
     return _static_classes(model, angles_deg)
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmModel, ActivationTrajectory, class_angles, forward_dynamics
+from .arm import (ArmModel, ActivationTrajectory, _check_classes_apart, class_angles,
+                  forward_dynamics)
 from .eeg import (
     ActivationClass,
     EegFrame,
@@ -78,7 +79,9 @@ def _eeg(cfg: SynthConfig, classes, rng: np.random.Generator) -> np.ndarray:
 def _labeled_recording(cfg: SynthConfig, model: ArmModel) -> tuple[EegRecording, np.ndarray]:
     """The dataset of generate_dataset as one recording, and the int64 class
     index 1..10 of each frame. Each frame's angle is its class's equilibrium
-    angle, as in dataset_to_recording."""
+    angle, as in dataset_to_recording. An arm that _check_classes_apart
+    refuses raises DataError."""
+    _check_classes_apart(model)
     rng = np.random.default_rng(cfg.seed)
     classes = (np.arange(cfg.n_samples) % 10 + 1)[rng.permutation(cfg.n_samples)]
     kinematics = class_angles(model)[classes - 1]
@@ -117,7 +120,8 @@ def _movement_recording(
     cfg: SynthConfig, n_steps: int, model: ArmModel
 ) -> tuple[EegRecording, np.ndarray]:
     """The recording of generate_movement and the int64 class index 1..10
-    of each step."""
+    of each step. An arm that _check_classes_apart refuses raises DataError."""
+    _check_classes_apart(model)
     classes = _ramp(n_steps)
     samples = _eeg(cfg, classes, np.random.default_rng(cfg.seed))
     angles = forward_dynamics(model, ActivationTrajectory(levels=classes / 10.0))

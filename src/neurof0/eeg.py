@@ -252,48 +252,46 @@ def load_recording_csv(path) -> EegRecording:
     10-row (0.01 s) window; empty cells are skipped and the non-empty
     values become the kinematics series in row order.
 
-    Two tokenizers turn the text into cells: one np.loadtxt call reads a
-    plain file (_plain_cells), the csv module any other row by row
-    (_csv_cells), raising DataError on unreadable text, a ragged row, a
+    The header is read as one csv row and the data rows by one np.loadtxt
+    call on the same open file. When loadtxt refuses the text, _refusal
+    raises DataError naming the fault: unreadable text, a ragged row, a
     non-numeric cell or a non-finite angle. One validator (_recording)
     raises DataError on every other rule. Each names the file, and the row
     where there is one; a missing file raises FileNotFoundError.
     """
-    header, cells = _plain_cells(path) or _csv_cells(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValueError("empty file, expected a header row")
+            header = [h.strip() for h in header]
+            lines = _data_lines(fh)
+            first = next(lines, None)
+            cells = np.empty(0)  # no data rows, which _recording refuses
+            if first is not None:  # loadtxt warns on no data
+                converters = ({header.index(ANGLE_COLUMN): _angle_cell}
+                              if ANGLE_COLUMN in header else None)
+                cells = np.loadtxt(chain([first], lines), delimiter=",", quotechar='"',
+                                   comments=None, converters=converters, ndmin=2)
+                if cells.shape[1] != len(header):
+                    raise ValueError(f"rows of {cells.shape[1]} cells under "
+                                     f"{len(header)} header cells")
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError included
+            raise _refusal(path, exc) from None
     return _recording(path, header, cells)
 
 
-# Bytes per read when _scan_lines looks through a file.
-_SCAN_BYTES = 1 << 16
-
-
-def _scan_lines(path) -> Optional[int]:
-    """The number of lines of a file, or None when the csv module could
-    read it otherwise than line by line and comma by comma, or when a line
-    is blank: the file holds a quote, a carriage return or a NUL, a line
-    longer than the csv field size limit, or a last line with no final
-    newline. A path that is not a regular file, such as a pipe that could
-    not be read a second time, also gives None, unread."""
-    if not os.path.isfile(path):
-        return None
+def _data_lines(fh):
+    """The lines left in fh. A blank or whitespace-only line, which loadtxt
+    would skip, raises ValueError, and one with a cell longer than the csv
+    field size limit, which loadtxt would read, raises csv.Error."""
     limit = csv.field_size_limit()
-    n_lines, run = 0, 0  # run: the bytes since the last newline
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_SCAN_BYTES):
-            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
-                return None
-            ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-            if ends.size:
-                widths = np.diff(ends, prepend=-1 - run) - 1  # of the lines that end here
-                if widths.min() == 0 or widths.max() > limit:
-                    return None
-                n_lines += ends.size
-                run = len(chunk) - 1 - int(ends[-1])
-            else:
-                run += len(chunk)
-            if run > limit:
-                return None
-    return None if run else n_lines
+    for line in fh:
+        if line.isspace():
+            raise ValueError("blank or whitespace-only line")
+        if len(line) > limit:
+            next(csv.reader([line]))
+        yield line
 
 
 def _angle_cell(cell: str) -> float:
@@ -308,53 +306,29 @@ def _angle_cell(cell: str) -> float:
     return value
 
 
-def _plain_cells(path):
-    """_csv_cells' header and cells, as a (rows, columns) table, through one
-    np.loadtxt call; or None whenever _csv_cells could read the text
-    otherwise: the file is not plain comma-separated lines (_scan_lines),
-    has no data rows, loadtxt fails (a non-finite angle included) or the
-    table is not one row per line and one cell per header column."""
-    n_lines = _scan_lines(path)
-    if n_lines is None or n_lines < 2:  # deferred, or a header with no data rows
-        return None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            header = [h.strip() for h in fh.readline()[:-1].split(",")]
-        except UnicodeDecodeError:
-            return None
-        converters = {header.index(ANGLE_COLUMN): _angle_cell} if ANGLE_COLUMN in header else None
-        try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, converters=converters,
-                               ndmin=2)
-        except ValueError:  # UnicodeDecodeError included
-            return None
-    return (header, table) if table.shape == (n_lines - 1, len(header)) else None
-
-
-def _csv_cells(path):
-    """The header and every cell as a float in row order, NaN for an empty
-    angle_deg cell, read row by row through the csv module. _csv_rows'
-    DataErrors pass through; a non-numeric cell or a non-finite angle
-    raises DataError naming its row and column."""
-    with closing(_csv_rows(path)) as rows:
-        header = next(rows)
-        angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
-
-        def cell_rows():
+def _refusal(path, exc) -> DataError:
+    """The DataError for a recording CSV whose text load_recording_csv
+    could not read (exc). A regular file is read again row by row through
+    the csv module, and the first text fault raised: _csv_rows' faults, and
+    a non-numeric cell or a non-finite angle, naming its row and column.
+    Returned otherwise, with exc's message: a fault in a path that is not
+    a regular file, such as a pipe, which could not be read again, or in
+    text that float() reads but loadtxt does not, such as 1_0."""
+    if os.path.isfile(path):
+        with closing(_csv_rows(path)) as rows:
+            header = next(rows)
+            angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
             for row_no, row in rows:
                 if angle_col is not None:
                     cell = row[angle_col].strip()
                     row[angle_col] = (_cell_value(cell, path, row_no, ANGLE_COLUMN)
                                       if cell else math.nan)
                 try:
-                    values = tuple(map(float, row))
+                    tuple(map(float, row))
                 except ValueError:  # _cell_value raises, naming the cell
                     for name, cell in zip(header, row):
                         _cell_value(cell, path, row_no, name)
-                    raise
-                yield values
-
-        return header, np.fromiter(chain.from_iterable(cell_rows()), dtype=float)
+    return DataError(f"{path}: {exc}")
 
 
 def _recording(path, header: Sequence[str], cells: np.ndarray) -> EegRecording:

@@ -335,8 +335,17 @@ def save_model(model: ForestModel, path) -> None:
 
 
 def load_model(path) -> ForestModel:
+    """The forest that save_model wrote to path; a file that is not one
+    raises ModelFileError naming path."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _model_from_bytes(blob)
+    except ModelFileError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
+
+
+def _model_from_bytes(blob: bytes) -> ForestModel:
     pos = 0
 
     def take(fmt: str):

@@ -27,12 +27,46 @@ def count_zero_crossings(samples: np.ndarray, direction: str = "both") -> int:
     raise ValueError(direction)
 
 
+def _csv_cells(path):
+    """The header and every cell as a float in row order, NaN for an empty
+    angle_deg cell, read row by row through the csv module. _csv_rows'
+    DataErrors pass through; a non-numeric cell or a non-finite angle
+    raises DataError naming its row and column.
+
+    The csv tokenizer that load_recording_csv once had beside np.loadtxt,
+    kept as the reference for it."""
+    from contextlib import closing
+    from itertools import chain
+
+    from neurof0.eeg import ANGLE_COLUMN, _cell_value, _csv_rows
+
+    with closing(_csv_rows(path)) as rows:
+        header = next(rows)
+        angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
+
+        def cell_rows():
+            for row_no, row in rows:
+                if angle_col is not None:
+                    cell = row[angle_col].strip()
+                    row[angle_col] = (_cell_value(cell, path, row_no, ANGLE_COLUMN)
+                                      if cell else math.nan)
+                try:
+                    values = tuple(map(float, row))
+                except ValueError:  # _cell_value raises, naming the cell
+                    for name, cell in zip(header, row):
+                        _cell_value(cell, path, row_no, name)
+                    raise
+                yield values
+
+        return header, np.fromiter(chain.from_iterable(cell_rows()), dtype=float)
+
+
 def assert_loads_as_streaming(path):
     """load_recording_csv(path) gives what the validator gives on the
-    streaming csv tokenizer's cells: arrays of the same bytes and memory
-    layout and the same channel names, or a DataError with the same
-    message. Returns the recording, or None."""
-    from neurof0.eeg import _csv_cells, _recording, load_recording_csv
+    streaming csv tokenizer's cells (_csv_cells): arrays of the same bytes
+    and memory layout and the same channel names, or a DataError with the
+    same message. Returns the recording, or None."""
+    from neurof0.eeg import _recording, load_recording_csv
     from neurof0.errors import DataError
 
     try:

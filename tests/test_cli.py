@@ -273,6 +273,27 @@ class TestArmLabels:
             "so no two classes can be told apart\n")
         assert not (out / "metrics.json").exists() and not (out / "model.nf0f").exists()
 
+    @pytest.mark.parametrize("form", [["--n", "50"], ["--movement-steps", "30"]],
+                             ids=["dataset", "movement"])
+    def test_one_label_arm_gen_data_refused(self, tmp_path, capsys, form):
+        # train and eval refuse any data such an arm labels, so none is written
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"arm": {"max_muscle_force_n": 1e308, "moment_arm_m": 1e5}}))
+        out = tmp_path / "gen"
+        assert run("--config", str(cfg), "--out", str(out), "gen-data", *form) == 2
+        assert capsys.readouterr().err == (
+            "nf0: error: the arm config labels the angles of all ten classes as class 1, "
+            "so no two classes can be told apart\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("force", [147.15, 150.0])
+    def test_saturating_arm_gen_data_runs(self, tmp_path, force):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"arm": {"max_muscle_force_n": force}}))
+        for form in (["--n", "50"], ["--movement-steps", "30"]):
+            assert run("--config", str(cfg), "--out", str(tmp_path), "gen-data", *form) == 0
+        assert (tmp_path / "dataset.csv").exists() and (tmp_path / "movement.csv").exists()
+
     def test_saturating_arm_runs(self, tmp_path, dataset_csv):
         # classes 5-10 share label 5 under twice the calibrated force; not refused
         cfg = tmp_path / "c.json"
@@ -363,6 +384,15 @@ class TestDecodeSynthPipeline:
         assert len(angles) == 151
         f0 = (out / "f0.csv").read_text().splitlines()
         assert f0[0] == "t_s,f0_hz,true_f0_hz"
+
+    def test_truncated_model_named(self, tmp_path, capsys, movement_csv, model_file):
+        bad = tmp_path / "trunc.nf0f"
+        bad.write_bytes(model_file.read_bytes()[:100])
+        out = tmp_path / "dec"
+        assert run("--out", str(out), "decode", "--data", str(movement_csv),
+                   "--model", str(bad)) == 2
+        assert capsys.readouterr().err == f"nf0: error: {bad}: model file is truncated\n"
+        assert not out.exists()
 
     def test_synth_names_a_nan_f0(self, tmp_path, capsys):
         src = tmp_path / "f0.csv"

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assert_loads_as_streaming
+from helpers import _csv_cells, assert_loads_as_streaming
 
 from neurof0 import eeg
 from neurof0.eeg import (
@@ -452,8 +452,9 @@ def replace_cell(row: int, col: int, cell):
     return edit
 
 
-# each edit of fast_path_csv that the loadtxt fast path must hand to the
-# streaming reader, whether that reader then accepts the file or not
+# each edit of fast_path_csv that the old two-tokenizer loader sent from
+# np.loadtxt to the csv module: the loader must read it, or name its
+# fault, as the csv reference (helpers._csv_cells) does
 DEFERRALS = [
     pytest.param(replace_cell(3, 2, b'"1.5"'), id="quoted-cell"),
     pytest.param(lambda b: b.replace(b"FP2", b'"FP2"'), id="quoted-header"),
@@ -463,8 +464,6 @@ DEFERRALS = [
     pytest.param(lambda b: b[:b.index(b"\n") + 1] + b"\n", id="blank-data-only"),
     pytest.param(lambda b: b.replace(b"\n", b"\n \n", 3), id="whitespace-line"),
     pytest.param(lambda b: b[:-1], id="no-final-newline"),
-    pytest.param(replace_cell(4, 1, b"1_0"), id="underscore"),
-    pytest.param(replace_cell(4, 1, "\uff11.\uff15".encode()), id="full-width-digits"),
     pytest.param(replace_cell(4, 1, b"1\x005"), id="nul"),
     pytest.param(lambda b: b.replace(b"FP2", b"FP\x002"), id="nul-in-header"),
     pytest.param(replace_cell(4, 1, b"1\xff"), id="not-utf8"),
@@ -478,8 +477,18 @@ DEFERRALS = [
     pytest.param(replace_cell(10, 10, b"inf"), id="inf-angle"),
 ]
 
-# each edit of fast_path_csv that the loadtxt fast path reads as text but
-# the validator refuses: both tokenizers lead to the same DataError
+# each edit of fast_path_csv with a cell that float() reads but np.loadtxt
+# does not: the csv reference reads the file, the loader refuses it with
+# loadtxt's message
+FLOAT_ONLY_CELLS = [
+    pytest.param(replace_cell(4, 1, b"1_0"), "could not convert string '1_0' to float64 "
+                 "at row 4, column 2.", id="underscore"),
+    pytest.param(replace_cell(4, 1, "\uff11.\uff15".encode()), "could not convert string "
+                 "'\uff11.\uff15' to float64 at row 4, column 2.", id="full-width-digits"),
+]
+
+# each edit of fast_path_csv that np.loadtxt reads as text but the
+# validator refuses: the loader and the csv reference give the same DataError
 RULE_FAULTS = [
     pytest.param(replace_cell(3, 10, b"40.0"), "angle_deg value on row 5",
                  id="angle-off-window-start"),
@@ -491,11 +500,34 @@ RULE_FAULTS = [
 ]
 
 
+def read_in_thread(load, fifo, blob: bytes):
+    """What load(fifo) returns or raises while another thread writes blob
+    into the named pipe fifo; both threads must end within 30 s."""
+    done = []
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(blob)
+
+    def read():
+        try:
+            done.append(load(fifo))
+        except DataError as exc:
+            done.append(exc)
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return done[0]
+
+
 class TestCsvFastPath:
     def test_plain_file_takes_the_fast_path(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_bytes(fast_path_csv())
-        assert eeg._plain_cells(path) is not None
         rec = assert_loads_as_streaming(path)
         assert rec.kinematics.tolist() == [12.5, 12.5]
 
@@ -505,14 +537,20 @@ class TestCsvFastPath:
         path.write_bytes(edit(fast_path_csv()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # such as loadtxt's on a file of blank lines
-            assert eeg._plain_cells(path) is None
-        assert_loads_as_streaming(path)
+            assert_loads_as_streaming(path)
+
+    @pytest.mark.parametrize("edit, message", FLOAT_ONLY_CELLS)
+    def test_float_only_cell_refused(self, tmp_path, edit, message):
+        path = tmp_path / "r.csv"
+        path.write_bytes(edit(fast_path_csv()))
+        assert _csv_cells(path)[1].size == 20 * 11  # the reference reads it
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_recording_csv(path)
 
     @pytest.mark.parametrize("edit, match", RULE_FAULTS)
     def test_validated_after_either_tokenizer(self, tmp_path, edit, match):
         path = tmp_path / "r.csv"
         path.write_bytes(edit(fast_path_csv()))
-        assert eeg._plain_cells(path) is not None
         assert assert_loads_as_streaming(path) is None
         with pytest.raises(DataError, match=re.escape(f"{path}: {match}")):
             load_recording_csv(path)
@@ -521,12 +559,11 @@ class TestCsvFastPath:
     def test_second_angle_column_refused(self, tmp_path, quote):
         # FP1..O1, then two angle_deg columns: angles in the first, a number
         # on every row of the second, which would be read as a 10th channel
-        second = '"angle_deg"' if quote else "angle_deg"  # a quote defers to the csv module
+        second = '"angle_deg"' if quote else "angle_deg"
         header = ",".join(DEFAULT_CHANNELS[:9]) + ",angle_deg," + second
         rows = [",".join(["1.0"] * 9 + ["" if i % 10 else "5.0", "2.0"]) for i in range(20)]
         path = tmp_path / "r.csv"
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
-        assert (eeg._plain_cells(path) is None) == quote
         assert assert_loads_as_streaming(path) is None
         msg = f"{path}: 'angle_deg' names the kinematics column, not a channel"
         with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
@@ -546,38 +583,31 @@ class TestCsvFastPath:
             load_recording_csv(path)
 
     def test_pipe_is_read_once(self, tmp_path):
-        # a named pipe yields its text once: the scan must leave it unread
+        # a named pipe yields its text once
         fifo = tmp_path / "r.fifo"
         os.mkfifo(fifo)
-        done = []
+        rec = read_in_thread(load_recording_csv, fifo, fast_path_csv())
+        assert rec.kinematics.tolist() == [12.5, 12.5]
 
-        def write():
-            with open(fifo, "wb") as fh:
-                fh.write(fast_path_csv())
-
-        def read():
-            done.append(load_recording_csv(fifo))
-
-        threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        assert done[0].kinematics.tolist() == [12.5, 12.5]
+    def test_pipe_with_a_bad_cell_refused(self, tmp_path):
+        # the fault is named from loadtxt's message: a pipe cannot be read again
+        fifo = tmp_path / "r.fifo"
+        os.mkfifo(fifo)
+        exc = read_in_thread(load_recording_csv, fifo, replace_cell(6, 3, b"oops")(fast_path_csv()))
+        assert str(exc) == f"{fifo}: could not convert string 'oops' to float64 at row 6, column 4."
 
     def test_gen_data_output_takes_the_fast_path(self, tmp_path, monkeypatch):
         from neurof0.cli import cli_main
 
         assert cli_main(["--out", str(tmp_path), "gen-data", "--n", "30"]) == 0
         assert cli_main(["--out", str(tmp_path), "gen-data", "--movement-steps", "25"]) == 0
-        want = [eeg._recording(tmp_path / n, *eeg._csv_cells(tmp_path / n))
+        want = [eeg._recording(tmp_path / n, *_csv_cells(tmp_path / n))
                 for n in ("dataset.csv", "movement.csv")]
 
         def refuse(path):
-            raise AssertionError(f"{path} went to the streaming reader")
+            raise AssertionError(f"{path} was read a second time")
 
-        monkeypatch.setattr(eeg, "_csv_cells", refuse)
+        monkeypatch.setattr(eeg, "_csv_rows", refuse)
         for name, rec in zip(("dataset.csv", "movement.csv"), want):
             got = load_recording_csv(tmp_path / name)
             assert got.samples.tobytes() == rec.samples.tobytes()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -396,7 +397,8 @@ class TestSerialization:
         save_model(ForestModel(trees=[leaf_only_tree(1)],
                                hyperparams=ForestHyperparams(n_estimators=1)), path)
         path.write_bytes(path.read_bytes()[:34] + struct.pack("<I", 0))
-        with pytest.raises(ModelFileError, match="^tree 0: tree has no nodes$"):
+        msg = f"{path}: tree 0: tree has no nodes"
+        with pytest.raises(ModelFileError, match=f"^{re.escape(msg)}$"):
             load_model(path)
 
     @pytest.mark.parametrize("feature, links", [
@@ -416,8 +418,8 @@ class TestSerialization:
         assert blob[38] == 1
         blob[51:59] = struct.pack("<II", *links)
         path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFileError, match=f"^tree 0: node 0: stored children {links[0]} "
-                                                 f"and {links[1]}, but the preorder"):
+        msg = f"{path}: tree 0: node 0: stored children {links[0]} and {links[1]}, but the preorder"
+        with pytest.raises(ModelFileError, match=f"^{re.escape(msg)}"):
             load_model(path)
 
 
