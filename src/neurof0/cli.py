@@ -129,6 +129,16 @@ def _load_recording(path):
     return rec
 
 
+def _read_trajectory(path, column: str, make):
+    """make(values) of a trajectory CSV's column, naming the file in a
+    DataError when make refuses the values."""
+    values = read_column(path, column)
+    try:
+        return make(values)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _load_labeled(path, cfg: PipelineConfig):
     """(X, y, (train rows, test rows)): the recording's (n, 100) frame matrix,
     the class index 1..10 of each frame and the configured split."""
@@ -169,7 +179,11 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
-    X, y, (_train, test) = _load_labeled(_data_path(args, cfg), cfg)
+    data = _data_path(args, cfg)
+    X, y, (_train, test) = _load_labeled(data, cfg)
+    if not len(test):
+        raise DataError(f"{data}: split.train_fraction {cfg.train_fraction} holds out "
+                        f"none of its {len(y)} frames for eval")
     model = load_model(_model_path(args, cfg))
     pred, _votes = predict_batch(model, X[test])
     report = evaluate_static(cfg, pred, y[test])
@@ -187,12 +201,11 @@ def _step_times(n: int) -> np.ndarray:
 
 def _cmd_simulate(args, cfg: PipelineConfig) -> int:
     if args.activations:
-        levels = read_column(args.activations, "activation")
+        act = _read_trajectory(args.activations, "activation", ActivationTrajectory)
     elif args.constant is not None:
-        levels = [args.constant] * args.steps
+        act = ActivationTrajectory(levels=[args.constant] * args.steps)
     else:
         raise DataError("simulate needs --activations or --constant")
-    act = ActivationTrajectory(levels=levels)
     angles = forward_dynamics(cfg.arm, act)
     out = _out_dir(args, cfg)
     path = out / "trajectory.csv"
@@ -227,8 +240,7 @@ def _cmd_decode(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_synth(args, cfg: PipelineConfig) -> int:
-    values = read_column(args.f0, "f0_hz")
-    audio = synthesize(F0Trajectory(values_hz=values),
+    audio = synthesize(_read_trajectory(args.f0, "f0_hz", F0Trajectory),
                        sample_rate_hz=cfg.synth_sample_rate_hz,
                        amplitude=cfg.synth_amplitude)
     out = _out_dir(args, cfg)

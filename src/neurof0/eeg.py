@@ -294,39 +294,40 @@ def _data_lines(fh):
         yield line
 
 
+def _number(cell: str) -> float:
+    """float() of a CSV cell stripped of whitespace, refused (ValueError)
+    unless that is ASCII with no '_': the number grammar of np.loadtxt."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(text)
+
+
 def _angle_cell(cell: str) -> float:
     """An angle_deg cell as load_recording_csv reads it, NaN for an empty
-    one; a non-finite value raises ValueError."""
-    cell = cell.strip()
-    if not cell:
+    one; a non-numeric or non-finite value raises ValueError."""
+    if not cell.strip():
         return math.nan
-    value = float(cell)
+    value = _number(cell)
     if not math.isfinite(value):
         raise ValueError(f"non-finite angle {cell!r}")
     return value
 
 
 def _refusal(path, exc) -> DataError:
-    """The DataError for a recording CSV whose text load_recording_csv
-    could not read (exc). A regular file is read again row by row through
-    the csv module, and the first text fault raised: _csv_rows' faults, and
-    a non-numeric cell or a non-finite angle, naming its row and column.
-    Returned otherwise, with exc's message: a fault in a path that is not
-    a regular file, such as a pipe, which could not be read again, or in
-    text that float() reads but loadtxt does not, such as 1_0."""
+    """The DataError for a recording CSV whose text load_recording_csv could
+    not read (exc). A regular file is read again through _csv_rows, _number
+    and, in the angle column, _angle_cell, and its first fault is raised,
+    named by row and column; any other path, such as a pipe, gets exc's."""
     if os.path.isfile(path):
         with closing(_csv_rows(path)) as rows:
             header = next(rows)
             angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
             for row_no, row in rows:
-                if angle_col is not None:
-                    cell = row[angle_col].strip()
-                    row[angle_col] = (_cell_value(cell, path, row_no, ANGLE_COLUMN)
-                                      if cell else math.nan)
-                try:
-                    tuple(map(float, row))
-                except ValueError:  # _cell_value raises, naming the cell
-                    for name, cell in zip(header, row):
+                for col, (name, cell) in enumerate(zip(header, row)):
+                    try:
+                        (_angle_cell if col == angle_col else _number)(cell)
+                    except ValueError:  # _cell_value raises, naming the cell
                         _cell_value(cell, path, row_no, name)
     return DataError(f"{path}: {exc}")
 
@@ -358,7 +359,7 @@ def _recording(path, header: Sequence[str], cells: np.ndarray) -> EegRecording:
     bad = np.flatnonzero(~np.isfinite(table))
     if bad.size:  # _cell_value raises, naming the first bad cell
         row, col = divmod(int(bad[0]), len(channel_names))
-        _cell_value(repr(float(table.flat[bad[0]])), path, row + 2, channel_names[col])
+        _cell_value(repr(table.flat[bad[0]].item()), path, row + 2, channel_names[col])
     try:
         return EegRecording(samples=table.T, channel_names=channel_names, kinematics=kinematics)
     except ValueError as exc:
@@ -367,24 +368,26 @@ def _recording(path, header: Sequence[str], cells: np.ndarray) -> EegRecording:
 
 def _cell_value(cell: str, path, row_no: int, column: str) -> float:
     try:
-        value = float(cell)
+        value = _number(cell)
+        fault = None if math.isfinite(value) else "non-finite value"
     except ValueError:
-        raise DataError(
-            f"{path}: non-numeric cell {cell!r} on row {row_no}, column {column}"
-        ) from None
-    if not math.isfinite(value):
-        raise DataError(f"{path}: non-finite value {cell!r} on row {row_no}, column {column}")
+        fault = "non-numeric cell"
+    if fault:
+        raise DataError(f"{path}: {fault} {cell!r} on row {row_no}, column {column}")
     return value
 
 
 def read_column(path, column: str) -> np.ndarray:
     """One named column of a CSV file with a header row, such as f0_hz of
-    an f0.csv. Raises DataError on a missing column, no data rows, or,
-    naming row and column, a ragged row or a non-numeric or non-finite cell."""
+    an f0.csv. Raises DataError on a missing or repeated column, no data
+    rows, or, naming row and column, a ragged row or a non-numeric or
+    non-finite cell."""
     with closing(_csv_rows(path)) as rows:
         header = next(rows)
         if column not in header:
             raise DataError(f"{path}: no {column!r} column")
+        if header.count(column) > 1:
+            raise DataError(f"{path}: {header.count(column)} columns named {column!r}")
         col = header.index(column)
         values = [_cell_value(row[col], path, row_no, column) for row_no, row in rows]
     if not values:

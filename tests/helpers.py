@@ -30,35 +30,33 @@ def count_zero_crossings(samples: np.ndarray, direction: str = "both") -> int:
 def _csv_cells(path):
     """The header and every cell as a float in row order, NaN for an empty
     angle_deg cell, read row by row through the csv module. _csv_rows'
-    DataErrors pass through; a non-numeric cell or a non-finite angle
-    raises DataError naming its row and column.
+    DataErrors pass through; the first cell in column order that is
+    non-numeric by eeg._number, or a non-empty angle that is not a finite
+    number, raises DataError naming its row and column.
 
     The csv tokenizer that load_recording_csv once had beside np.loadtxt,
     kept as the reference for it."""
     from contextlib import closing
-    from itertools import chain
 
-    from neurof0.eeg import ANGLE_COLUMN, _cell_value, _csv_rows
+    from neurof0.eeg import ANGLE_COLUMN, _cell_value, _csv_rows, _number
 
     with closing(_csv_rows(path)) as rows:
         header = next(rows)
         angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
 
-        def cell_rows():
+        def cells():
             for row_no, row in rows:
-                if angle_col is not None:
-                    cell = row[angle_col].strip()
-                    row[angle_col] = (_cell_value(cell, path, row_no, ANGLE_COLUMN)
-                                      if cell else math.nan)
-                try:
-                    values = tuple(map(float, row))
-                except ValueError:  # _cell_value raises, naming the cell
-                    for name, cell in zip(header, row):
+                for col, (name, cell) in enumerate(zip(header, row)):
+                    if col == angle_col:
+                        yield _cell_value(cell, path, row_no, name) if cell.strip() else math.nan
+                        continue
+                    try:
+                        value = _number(cell)
+                    except ValueError:  # _cell_value raises, naming the cell
                         _cell_value(cell, path, row_no, name)
-                    raise
-                yield values
+                    yield value
 
-        return header, np.fromiter(chain.from_iterable(cell_rows()), dtype=float)
+        return header, np.fromiter(cells(), dtype=float)
 
 
 def assert_loads_as_streaming(path):

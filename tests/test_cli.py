@@ -230,6 +230,21 @@ class TestTrainEval:
         assert metrics["classifier_accuracy"] >= 0.95
         assert metrics["n_test"] == 60
 
+    def test_eval_with_nothing_held_out_refused(self, tmp_path, capsys):
+        # 10 frames at train_fraction 0.99: all 10 train, none is held out
+        out = tmp_path / "run"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"split": {"train_fraction": 0.99}}))
+        assert run("--out", str(out), "gen-data", "--n", "10") == 0
+        data = out / "dataset.csv"
+        argv = ["--config", str(cfg), "--out", str(out)]
+        assert run(*argv, "train", "--data", str(data)) == 0
+        assert "(0 held out)" in capsys.readouterr().out
+        assert run(*argv, "eval", "--data", str(data)) == 2
+        assert capsys.readouterr().err == (f"nf0: error: {data}: split.train_fraction 0.99 "
+                                           "holds out none of its 10 frames for eval\n")
+        assert not (out / "metrics.json").exists()
+
     def test_builds_no_frame_objects(self, tmp_path, dataset_csv, monkeypatch):
         def no_frames(self):
             raise AssertionError("EegFrame built")
@@ -339,6 +354,14 @@ class TestSimulate:
         assert run("--out", str(tmp_path), "simulate", "--activations", str(src)) == 2
         assert "non-finite value 'inf' on row 3, column activation" in capsys.readouterr().err
 
+    def test_level_out_of_range_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "act.csv"
+        src.write_text("t_s,activation\n0.0,0.3\n0.01,1.5\n")
+        out = tmp_path / "sim"
+        assert run("--out", str(out), "simulate", "--activations", str(src)) == 2
+        assert capsys.readouterr().err == f"nf0: error: {src}: activation level 1.5 outside [0, 1]\n"
+        assert not out.exists()
+
 
 class TestOutputPaths:
     def write_config(self, tmp_path, **paths):
@@ -400,6 +423,19 @@ class TestDecodeSynthPipeline:
         assert run("--out", str(tmp_path / "syn"), "synth", "--f0", str(src)) == 2
         assert f"{src}: non-finite value 'nan' on row 3, column f0_hz" in capsys.readouterr().err
         assert not (tmp_path / "syn" / "out.wav").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("t_s,f0_hz\n0.0,2000.0\n0.01,-3\n", "f0 values must be positive"),
+        ("t_s,f0_hz,f0_hz\n0.0,2000.0,2000.0\n", "2 columns named 'f0_hz'"),
+        ("t_s,f0_hz\n0.0,1_500\n", "non-numeric cell '1_500' on row 2, column f0_hz"),
+    ], ids=["negative", "repeated-column", "underscore"])
+    def test_synth_refusal_names_the_file(self, tmp_path, capsys, text, message):
+        src = tmp_path / "f0.csv"
+        src.write_text(text)
+        out = tmp_path / "syn"
+        assert run("--out", str(out), "synth", "--f0", str(src)) == 2
+        assert capsys.readouterr().err == f"nf0: error: {src}: {message}\n"
+        assert not out.exists()
 
     SYNTH_ERRORS = pytest.mark.parametrize("rate, message", [
         (8000, "f0 at or above the Nyquist frequency would alias"),

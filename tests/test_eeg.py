@@ -477,14 +477,16 @@ DEFERRALS = [
     pytest.param(replace_cell(10, 10, b"inf"), id="inf-angle"),
 ]
 
-# each edit of fast_path_csv with a cell that float() reads but np.loadtxt
-# does not: the csv reference reads the file, the loader refuses it with
-# loadtxt's message
+# each edit of fast_path_csv with a cell that float() reads but the one
+# number grammar (eeg._number, np.loadtxt's) refuses: the loader and the
+# csv reference name it by row and column
 FLOAT_ONLY_CELLS = [
-    pytest.param(replace_cell(4, 1, b"1_0"), "could not convert string '1_0' to float64 "
-                 "at row 4, column 2.", id="underscore"),
-    pytest.param(replace_cell(4, 1, "\uff11.\uff15".encode()), "could not convert string "
-                 "'\uff11.\uff15' to float64 at row 4, column 2.", id="full-width-digits"),
+    pytest.param(replace_cell(4, 1, b"1_0"), "non-numeric cell '1_0' on row 6, column FP2",
+                 id="underscore"),
+    pytest.param(replace_cell(4, 1, "\uff11.\uff15".encode()),
+                 "non-numeric cell '\uff11.\uff15' on row 6, column FP2", id="full-width-digits"),
+    pytest.param(replace_cell(10, 10, b"1_0"), "non-numeric cell '1_0' on row 12, column angle_deg",
+                 id="underscore-angle"),
 ]
 
 # each edit of fast_path_csv that np.loadtxt reads as text but the
@@ -543,8 +545,21 @@ class TestCsvFastPath:
     def test_float_only_cell_refused(self, tmp_path, edit, message):
         path = tmp_path / "r.csv"
         path.write_bytes(edit(fast_path_csv()))
-        assert _csv_cells(path)[1].size == 20 * 11  # the reference reads it
+        assert assert_loads_as_streaming(path) is None
         with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_recording_csv(path)
+
+    def test_empty_angle_cell_is_no_fault(self, tmp_path):
+        # angle_deg first, and empty on row 4, where F7 holds oops
+        path = tmp_path / "r.csv"
+        rows = [[""] + ["1.0"] * 10 for _ in range(20)]
+        rows[0][0] = "10.0"
+        rows[2][3] = "oops"
+        path.write_text("\n".join([",".join(["angle_deg", *DEFAULT_CHANNELS])]
+                                  + [",".join(r) for r in rows]) + "\n")
+        assert assert_loads_as_streaming(path) is None
+        msg = f"{path}: non-numeric cell 'oops' on row 4, column F7"
+        with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
             load_recording_csv(path)
 
     @pytest.mark.parametrize("edit, match", RULE_FAULTS)
@@ -566,6 +581,19 @@ class TestCsvFastPath:
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
         assert assert_loads_as_streaming(path) is None
         msg = f"{path}: 'angle_deg' names the kinematics column, not a channel"
+        with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
+            load_recording_csv(path)
+
+    def test_empty_cell_of_a_second_angle_column_named(self, tmp_path):
+        # only the first angle_deg column holds angles; the second is read
+        # as samples, so its empty cell on row 3 is a non-numeric cell
+        header = ",".join(DEFAULT_CHANNELS[:9]) + ",angle_deg,angle_deg"
+        rows = [",".join(["1.0"] * 9 + ["" if i % 10 else "5.0", "" if i == 1 else "2.0"])
+                for i in range(20)]
+        path = tmp_path / "r.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        assert assert_loads_as_streaming(path) is None
+        msg = f"{path}: non-numeric cell '' on row 3, column angle_deg"
         with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
             load_recording_csv(path)
 
@@ -630,6 +658,8 @@ class TestColumns:
         ("t_s,f0_hz\n0.0,2000.0\n0.01,nan\n", "non-finite value 'nan' on row 3, column f0_hz"),
         ("t_s,f0_hz\n0.0,-inf\n", "non-finite value '-inf' on row 2, column f0_hz"),
         ("t_s,f0_hz\n0.0,abc\n", "non-numeric cell 'abc' on row 2, column f0_hz"),
+        ("t_s,f0_hz\n0.0,1_500\n", "non-numeric cell '1_500' on row 2, column f0_hz"),
+        ("t_s,f0_hz,f0_hz\n0.0,2000.0,2500.0\n", "2 columns named 'f0_hz'"),
     ])
     def test_read_column_errors_name_their_location(self, tmp_path, text, match):
         path = tmp_path / "f0.csv"

@@ -5,7 +5,8 @@ class indices 1..10, from predict_batch to the WAV, and gen-data writes its
 dataset from the generator's arrays. The per-frame objects, the datasets built
 of them and the list-returning wrappers exist for the public API only. The
 recording CSV layout is eeg's alone: cli.py reads no CSV rows itself, and
-in eeg.py each recording rule is worded, and so checked, in one function.
+in eeg.py each recording rule is worded, and so checked, in one function,
+and one function, _number, reads a number from a CSV cell.
 """
 
 import ast
@@ -78,3 +79,21 @@ def functions_wording(tree, text):
 ])
 def test_each_recording_rule_in_one_function(text, owner):
     assert functions_wording(ast.parse(inspect.getsource(eeg)), text) == {owner}
+
+
+def test_only_number_turns_text_into_a_float():
+    # eeg's one number grammar: float() is called, or handed to map, only
+    # in _number, so every cell a CSV reader turns into a number goes there
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and any(
+                isinstance(f, ast.Name) and f.id == "float" for f in (node.func, *node.args)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(inspect.getsource(eeg)), None)
+    assert found == {"_number"}

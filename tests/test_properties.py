@@ -2,6 +2,7 @@
 stepper and the input boundaries."""
 
 import dataclasses
+import io
 import json
 import math
 import struct
@@ -56,6 +57,7 @@ from neurof0.eeg import (
     DEFAULT_CHANNELS,
     ActivationClass,
     EegRecording,
+    _number,
     load_recording_csv,
     write_columns,
     write_recording_csv,
@@ -505,9 +507,11 @@ class TestModelFileFuzz:
 
 
 # bytes a mutation inserts: quoting, line-ending, blank and cell-separating
-# characters, a NUL, a byte that is not UTF-8 and one cell longer than the
-# csv module's 131,072-character field limit
-INSERTS = [b"\x00", b'"', b"\r", b"\n", b" ", b",", b"\xff", b"1" * 131_073]
+# characters, a NUL, a byte that is not UTF-8, one cell longer than the csv
+# module's 131,072-character field limit, and an underscore and a full-width
+# digit, which float() reads in a number but np.loadtxt does not
+INSERTS = [b"\x00", b'"', b"\r", b"\n", b" ", b",", b"\xff", b"1" * 131_073,
+           b"_", "\uff11".encode()]
 
 
 def mutate(data, blob: bytes) -> bytes:
@@ -564,6 +568,12 @@ def recording_blobs(draw) -> bytes:
     return mutate(data, blob) if data.draw(st.booleans()) else blob
 
 
+# pieces of number text, and the underscore, whitespace and non-ASCII digits
+# on which float() alone and np.loadtxt differ
+NUMBER_PIECES = ["0", "1", "5", ".", "e", "E", "-", "+", "nan", "inf", "Infinity", " ", "\t",
+                 "_", "\xa0", "\u3000", "\uff11", "\u0661", "\x00", "\x1c"]
+
+
 CONFIG_JSON = json.dumps({
     "arm": {"forearm_mass_kg": 1.5, "damping_nms": 0.2},
     "mapping": {"f0_min_hz": 1500.0, "f0_max_hz": 5150.0},
@@ -592,8 +602,31 @@ class TestTextFuzz:
     # a non-finite sample on row 2 and a ragged row 3: the text fault is named
     @example(blob=("\n".join([",".join(DEFAULT_CHANNELS), ",".join(["inf"] + ["1.0"] * 9),
                               "1.0,2.0"]) + "\n").encode())
+    # angle_deg first and empty on row 4, whose F7 holds oops: F7 is named
+    @example(blob=("\n".join([",".join([ANGLE_COLUMN, *DEFAULT_CHANNELS]),
+                              ",".join(["10.0"] + ["1.0"] * 10), ",".join([""] + ["1.0"] * 10),
+                              ",".join(["", "1.0", "1.0", "oops"] + ["1.0"] * 7)]) + "\n").encode())
     def test_recording_csv_fast_path_matches_streaming_reader(self, blob):
         load_text(assert_loads_as_streaming, blob)
+
+    @SETTINGS
+    @given(cell=st.lists(st.sampled_from(NUMBER_PIECES) | st.characters(
+        blacklist_characters=',"\r\n', blacklist_categories=("Cs",))).map("".join))
+    @example(cell="1_0")
+    @example(cell="\uff11.\uff15")
+    @example(cell="\xa0-1.5e3\u3000")
+    @example(cell="\x1c0")  # float() refuses it unstripped
+    def test_number_reads_what_loadtxt_reads(self, cell):
+        # one cell with no comma, quote or line break, then a second cell,
+        # so that a blank first cell is no blank line
+        try:
+            want = np.loadtxt(io.StringIO(cell + ",0\n"), delimiter=",", quotechar='"',
+                              comments=None, ndmin=2)[0, 0]
+        except ValueError:
+            with pytest.raises(ValueError):
+                _number(cell)
+            return
+        assert np.float64(_number(cell)).tobytes() == want.tobytes()
 
     @SETTINGS
     @given(data=st.data())
