@@ -17,7 +17,6 @@ from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_cla
 from .datagen import SynthConfig, _labeled_recording, _movement_recording
 from .eeg import (
     ANGLE_COLUMN,
-    SAMPLES_PER_FRAME,
     load_recording_csv,
     read_column,
     split_indices,
@@ -119,16 +118,6 @@ def _data_path(args, cfg: PipelineConfig) -> Path:
     return data
 
 
-def _load_recording(path):
-    """load_recording_csv, refusing with the file's name a recording too
-    short to hold one frame, which no command can use."""
-    rec = load_recording_csv(path)
-    if rec.n_samples < SAMPLES_PER_FRAME:
-        raise DataError(f"{path}: recording has {rec.n_samples} samples, fewer than one "
-                        f"{SAMPLES_PER_FRAME}-sample window")
-    return rec
-
-
 def _read_trajectory(path, column: str, make):
     """make(values) of a trajectory CSV's column, naming the file in a
     DataError when make refuses the values."""
@@ -142,7 +131,7 @@ def _read_trajectory(path, column: str, make):
 def _load_labeled(path, cfg: PipelineConfig):
     """(X, y, (train rows, test rows)): the recording's (n, 100) frame matrix,
     the class index 1..10 of each frame and the configured split."""
-    rec = _load_recording(path)
+    rec = load_recording_csv(path)
     if rec.kinematics is None:
         raise DataError(f"{path}: no {ANGLE_COLUMN} column; labels cannot be derived")
     X = window_matrix(rec)
@@ -168,7 +157,11 @@ def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> int:
-    X, y, (train, test) = _load_labeled(_data_path(args, cfg), cfg)
+    data = _data_path(args, cfg)
+    X, y, (train, test) = _load_labeled(data, cfg)
+    if not len(train):
+        raise DataError(f"{data}: split.train_fraction {cfg.train_fraction} keeps "
+                        f"none of its {len(y)} frames for train")
     X, y = X[train], y[train]  # drops the held-out rows before training
     model = train_forest(X, y, cfg.forest)
     path = _model_path(args, cfg)
@@ -234,7 +227,7 @@ def _decode(args, cfg: PipelineConfig, rec) -> tuple[Path, PipelineResult]:
 
 
 def _cmd_decode(args, cfg: PipelineConfig) -> int:
-    out, result = _decode(args, cfg, _load_recording(_data_path(args, cfg)))
+    out, result = _decode(args, cfg, load_recording_csv(_data_path(args, cfg)))
     print(f"wrote {out / 'angles.csv'} and {out / 'f0.csv'} ({len(result.activations)} steps)")
     return 0
 
@@ -253,7 +246,7 @@ def _cmd_synth(args, cfg: PipelineConfig) -> int:
 def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
     data = _path(args.data, cfg.data_path)
     if data is not None:
-        rec = _load_recording(data)
+        rec = load_recording_csv(data)
     else:
         # self-contained demo: deterministic synthetic movement from the seed
         rec, _classes = _movement_recording(SynthConfig(seed=cfg.split_seed), 500, cfg.arm)

@@ -141,7 +141,7 @@ class EegFrame:
 class EegRecording:
     """Multichannel EEG time series with optional elbow-angle kinematics.
 
-    samples has shape (10, n_samples) with n_samples >= 1, all finite, at
+    samples has shape (10, n_samples) with n_samples >= 10, all finite, at
     1000 Hz; kinematics, when present, is a finite 1-D vector of one angle
     in degrees per whole 0.01 s window (n_samples // 10; a trailing partial
     window has none). No channel name is angle_deg, the kinematics column,
@@ -157,13 +157,16 @@ class EegRecording:
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim != 2 or not arr.shape[1]:
-            raise ValueError("samples must be a 2-D channels x samples array, not empty")
+        if arr.ndim != 2:
+            raise ValueError("samples must be a 2-D channels x samples array")
         names = tuple(str(n) for n in self.channel_names)
         if arr.shape[0] != len(names):
             raise ValueError(f"{arr.shape[0]} channel rows but {len(names)} channel names")
         if len(names) != N_CHANNELS:
             raise ValueError(f"expected {N_CHANNELS} signal columns, found {len(names)}")
+        if arr.shape[1] < SAMPLES_PER_FRAME:
+            raise ValueError(f"recording has {arr.shape[1]} samples, fewer than one "
+                             f"{SAMPLES_PER_FRAME}-sample window")
         for name in names:
             if (name != name.strip() or "\r" in name or len(name) > csv.field_size_limit()
                     or any("\ud800" <= c <= "\udfff" for c in name)):
@@ -441,11 +444,6 @@ def window_matrix(rec: EegRecording) -> np.ndarray:
     trailing partial window, if any, is dropped.
     """
     n_frames = rec.n_samples // SAMPLES_PER_FRAME
-    if n_frames == 0:
-        raise ValueError(
-            f"recording has {rec.n_samples} samples, fewer than one "
-            f"{SAMPLES_PER_FRAME}-sample window"
-        )
     return (rec.samples[:, :n_frames * SAMPLES_PER_FRAME]
             .reshape(N_CHANNELS, n_frames, SAMPLES_PER_FRAME)
             .transpose(1, 0, 2)

@@ -130,7 +130,10 @@ def load_config(path) -> PipelineConfig:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
-    return config_from_dict(raw)
+    try:
+        return config_from_dict(raw)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,9 @@ def write_wav(buf: AudioBuffer, path) -> None:
     """Write mono 16-bit little-endian PCM with a standard 44-byte header."""
     rate = int(buf.sample_rate_hz)
     block = max(1, round(_BLOCK_STEPS * rate * CONTROL_DT_S))
-    with wave.open(str(path), "wb") as wav:
+    # wave.open of a path it cannot open leaves a half-built writer whose
+    # __del__ prints a traceback; opened first, the path fails cleanly
+    with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(rate)

@@ -92,7 +92,7 @@ class TestDataErrors:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"arm": {"forearm_length_m": 1e-200}}))
         assert run("--config", str(cfg), "--out", str(tmp_path / "out"), *argv) == 2
-        assert capsys.readouterr().err == ("nf0: error: invalid config section 'arm': "
+        assert capsys.readouterr().err == (f"nf0: error: {cfg}: invalid config section 'arm': "
                                            "inertia m * L^2 / 3 underflows to 0.0\n")
 
     @pytest.mark.parametrize("command", ["train", "eval", "decode"])
@@ -244,6 +244,19 @@ class TestTrainEval:
         assert capsys.readouterr().err == (f"nf0: error: {data}: split.train_fraction 0.99 "
                                            "holds out none of its 10 frames for eval\n")
         assert not (out / "metrics.json").exists()
+
+    def test_train_with_no_training_frame_refused(self, tmp_path, capsys):
+        # 10 frames at train_fraction 0.01: none trains, all 10 are held out
+        out = tmp_path / "run"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"split": {"train_fraction": 0.01}}))
+        assert run("--out", str(out), "gen-data", "--n", "10") == 0
+        data = out / "dataset.csv"
+        capsys.readouterr()
+        assert run("--config", str(cfg), "--out", str(out), "train", "--data", str(data)) == 2
+        assert capsys.readouterr().err == (f"nf0: error: {data}: split.train_fraction 0.01 "
+                                           "keeps none of its 10 frames for train\n")
+        assert not (out / "model.nf0f").exists()
 
     def test_builds_no_frame_objects(self, tmp_path, dataset_csv, monkeypatch):
         def no_frames(self):
@@ -416,6 +429,19 @@ class TestDecodeSynthPipeline:
                    "--model", str(bad)) == 2
         assert capsys.readouterr().err == f"nf0: error: {bad}: model file is truncated\n"
         assert not out.exists()
+
+    def test_wav_path_a_directory_exits_2_without_traceback(self, tmp_path, model_file):
+        out = tmp_path / "dec"
+        (out / "out.wav").mkdir(parents=True)
+        env = {**os.environ, "PYTHONPATH": str(Path(neurof0.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurof0", "--out", str(out), "pipeline",
+             "--model", str(model_file)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and "out.wav" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     def test_synth_names_a_nan_f0(self, tmp_path, capsys):
         src = tmp_path / "f0.csv"

@@ -35,6 +35,10 @@ def make_recording(n_samples, kinematics=None):
     )
 
 
+# EegRecording's refusal of n samples, too few for one frame
+SHORT = "recording has %d samples, fewer than one 10-sample window"
+
+
 class TestActivationClass:
     def test_levels(self):
         assert ActivationClass(1).level == 0.1
@@ -123,8 +127,14 @@ class TestEegRecording:
 
     def test_at_least_one_sample(self):
         # a CSV of no data rows does not load
-        with pytest.raises(ValueError, match="not empty"):
+        with pytest.raises(ValueError, match=f"^{SHORT % 0}$"):
             EegRecording(samples=np.zeros((10, 0)))
+
+    def test_at_least_one_window(self):
+        # no command can use a recording that holds no frame
+        with pytest.raises(ValueError, match=f"^{SHORT % 9}$"):
+            EegRecording(samples=np.zeros((10, 9)))
+        assert EegRecording(samples=np.zeros((10, 10))).n_samples == 10
 
     def test_non_finite_sample_named(self):
         samples = np.zeros((10, 50))
@@ -173,11 +183,14 @@ class TestCsv:
     def test_cells_parsed_bit_for_bit(self, tmp_path):
         cells = ["0.1", "-2.5e1", "1e-3", "42", "0.30000000000000004",
                  "3.14159", "-0", "7e2", "123.456", "-9.99"]
+        rows = [cells[r:] + cells[:r] for r in range(10)]  # one window, each cell in each column
         path = tmp_path / "r.csv"
-        path.write_text(",".join(DEFAULT_CHANNELS) + "\n" + ",".join(cells) + "\n")
+        path.write_text(",".join(DEFAULT_CHANNELS) + "\n"
+                        + "".join(",".join(row) + "\n" for row in rows))
         rec = load_recording_csv(path)
-        for ch, text in enumerate(cells):
-            assert rec.samples[ch, 0] == float(text)
+        for r, row in enumerate(rows):
+            for ch, text in enumerate(row):
+                assert rec.samples[ch, r] == float(text)
 
     def test_load_window_frames_bit_for_bit(self, tmp_path):
         # frame values after load -> window must equal the parsed CSV text
@@ -242,15 +255,6 @@ class TestCsv:
     def test_write_names_the_file(self):
         with pytest.raises(ValueError, match="^7 kinematic values for 6 frames of 10 samples$"):
             make_recording(65, kinematics=np.zeros(7))
-
-    def test_empty_kinematics_round_trip(self, tmp_path):
-        # fewer samples than one window: no angles, but an angle column
-        rec = make_recording(5, kinematics=np.array([]))
-        path = tmp_path / "r.csv"
-        write_recording_csv(rec, path)
-        back = load_recording_csv(path)
-        assert back.kinematics is not None and back.kinematics.shape == (0,)
-        np.testing.assert_array_equal(back.samples, rec.samples)
 
     def test_write_gets_no_angle_channel(self, tmp_path):
         # a recording with a channel named angle_deg would be written as a
@@ -394,7 +398,9 @@ class TestCsvBoundaries:
         for w in range(n_angles):
             rows[10 * w][10] = "10.0"
         write_csv(path, rows, angle=True)
-        msg = f"{path}: {n_angles} kinematic values for {n_rows // 10} frames"
+        # a file shorter than one window is refused for its length first
+        msg = f"{path}: " + (SHORT % n_rows if n_rows < 10 else
+                             f"{n_angles} kinematic values for {n_rows // 10} frames")
         with pytest.raises(DataError, match=re.escape(msg)):
             load_recording_csv(path)
 
@@ -691,7 +697,8 @@ class TestWindowMatrix:
         np.testing.assert_array_equal(X, [f.features() for f in window_frames(rec)])
 
     def test_frame_shape_enforced(self):
-        # the only rule window_matrix keeps: at least one whole window
+        # at least one whole window: EegRecording's rule, so window_matrix
+        # never sees a recording without a frame
         with pytest.raises(ValueError, match="^recording has 5 samples, fewer than one "
                                              "10-sample window$"):
             window_matrix(make_recording(5))

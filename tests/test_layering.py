@@ -74,11 +74,17 @@ def functions_wording(tree, text):
     ("signal columns", "EegRecording.__post_init__"),     # the channel count
     ("-row window", "_recording"),                        # angles on window starts
     ("kinematic values", "EegRecording.__post_init__"),   # the kinematics count
+    ("-sample window", "EegRecording.__post_init__"),     # at least one frame
     ("non-finite sample", "EegRecording.__post_init__"),  # finite samples
     ("finite 1-D vector", "_vector"),                     # kinematics and trajectories
 ])
 def test_each_recording_rule_in_one_function(text, owner):
     assert functions_wording(ast.parse(inspect.getsource(eeg)), text) == {owner}
+
+
+def test_cli_leaves_the_window_rule_to_the_recording():
+    # the loader names the file when EegRecording refuses a short recording
+    assert functions_wording(ast.parse(inspect.getsource(cli)), "-sample window") == set()
 
 
 def test_only_number_turns_text_into_a_float():

@@ -179,9 +179,11 @@ class TestRunPipeline:
             EegRecording(samples=rec_full.samples[:, :295], kinematics=np.zeros(30))
 
     def test_stage_errors_carry_stage_name(self, trained_model):
-        too_short = EegRecording(samples=np.zeros((10, 5)))
-        with pytest.raises(PipelineStageError, match="windowing"):
-            run_pipeline(PipelineConfig(), too_short, trained_model)
+        # an arm whose muscle torque overflows leaves the representable range
+        cfg = config_from_dict({"arm": {"max_muscle_force_n": 1e308, "moment_arm_m": 1e5}})
+        rec, _classes = generate_movement(SynthConfig(n_samples=10, seed=5), 30)
+        with pytest.raises(PipelineStageError, match="^dynamics stage failed: "):
+            run_pipeline(cfg, rec, trained_model)
 
     def test_constant_full_activation_converges_to_top_pitch(self, trained_model):
         # constant class-1.0 EEG for 5 s: decoded F0 must converge to 5150 Hz
