@@ -181,7 +181,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     pred, _votes = predict_batch(model, X[test])
     report = evaluate_static(cfg, pred, y[test])
     out = _out_dir(args, cfg)
-    (out / "metrics.json").write_text(report.to_json())
+    (out / "metrics.json").write_text(report.to_json(), newline="\n")
     print(report.to_json(), end="")
     print(f"wrote {out / 'metrics.json'}")
     return 0
@@ -253,7 +253,7 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
     out, result = _decode(args, cfg, rec)
     write_wav(result.audio, out / "out.wav")
     if result.metrics is not None:
-        (out / "metrics.json").write_text(result.metrics.to_json())
+        (out / "metrics.json").write_text(result.metrics.to_json(), newline="\n")
         print(result.metrics.to_json(), end="")
     else:
         print("recording has no kinematics; metrics skipped", file=sys.stderr)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-import wave
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,15 +144,14 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 
 
 def write_wav(buf: AudioBuffer, path) -> None:
-    """Write mono 16-bit little-endian PCM with a standard 44-byte header."""
+    """Write mono 16-bit little-endian PCM with a standard 44-byte header, whatever the host."""
     rate = int(buf.sample_rate_hz)
+    n_bytes = 2 * len(buf)
+    # RIFF size, fmt size, PCM, mono, rate, byte rate, block align, bits, data size
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n_bytes, b"WAVE", b"fmt ", 16,
+                         1, 1, rate, 2 * rate, 2, 16, b"data", n_bytes)
     block = max(1, round(_BLOCK_STEPS * rate * CONTROL_DT_S))
-    # wave.open of a path it cannot open leaves a half-built writer whose
-    # __del__ prints a traceback; opened first, the path fails cleanly
-    with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(rate)
-        wav.setnframes(len(buf))  # the header is final before the first block
+    with open(path, "wb") as fh:
+        fh.write(header)
         for start in range(0, len(buf), block):
-            wav.writeframesraw(quantize_pcm16(buf.samples[start:start + block]))
+            fh.write(quantize_pcm16(buf.samples[start:start + block]))

@@ -6,14 +6,17 @@ dataset from the generator's arrays. The per-frame objects, the datasets built
 of them and the list-returning wrappers exist for the public API only. The
 recording CSV layout is eeg's alone: cli.py reads no CSV rows itself, and
 in eeg.py each recording rule is worded, and so checked, in one function,
-and one function, _number, reads a number from a CSV cell.
+and one function, _number, reads a number from a CSV cell. Every text file
+the package writes names its line separator, so no output follows the host's.
 """
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
+import neurof0
 from neurof0 import cli, eeg, pipeline
 
 OBJECT_APIS = {"ActivationClass", "EegFrame", "derive_labels", "window_frames",
@@ -103,3 +106,24 @@ def test_only_number_turns_text_into_a_float():
 
     visit(ast.parse(inspect.getsource(eeg)), None)
     assert found == {"_number"}
+
+
+def test_text_writes_name_their_line_separator():
+    # without newline=, a text-mode write turns "\n" into the host's line
+    # separator, so a pinned output would differ on a CRLF host
+    found = []
+    for path in sorted(Path(neurof0.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            node.args[1] if len(node.args) > 1 else ast.Constant("r"))
+                # a mode that is not a literal counts as a text write
+                text = getattr(mode, "value", "w")
+                writes = "b" not in text and bool(set(text) & set("wax+"))
+            else:
+                writes = isinstance(node.func, ast.Attribute) and node.func.attr == "write_text"
+            if writes and not any(k.arg == "newline" for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

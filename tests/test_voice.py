@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,17 @@ class TestWav:
     def test_round_half_away_from_zero(self):
         x = np.array([0.5 / 32767, -0.5 / 32767, 1.4 / 32767, -1.6 / 32767])
         assert list(quantize_pcm16(x)) == [1, -1, 1, -2]
+
+    def test_bytes_do_not_follow_the_host_byte_order(self, tmp_path, monkeypatch):
+        # raw file bytes: the stdlib wave reader would swap them back on a
+        # big-endian host
+        audio = synthesize(constant_f0(2000.0, 0.05))
+        write_wav(audio, tmp_path / "native.wav")
+        monkeypatch.setattr(sys, "byteorder", "big")
+        write_wav(audio, tmp_path / "big.wav")
+        blob = (tmp_path / "big.wav").read_bytes()
+        assert blob == (tmp_path / "native.wav").read_bytes()
+        assert blob[44:] == quantize_pcm16(audio.samples).tobytes()
 
     def test_read_back_within_quantization(self, tmp_path):
         audio = synthesize(constant_f0(3123.0, 0.3), amplitude=0.7)
