@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_classes
-from .datagen import SynthConfig, _labeled_recording, _movement_recording
+from .datagen import SynthConfig, _labeled_recording, _movement_recording, _ramp
 from .eeg import (
     ANGLE_COLUMN,
     load_recording_csv,
@@ -128,6 +128,15 @@ def _read_trajectory(path, column: str, make):
         raise DataError(f"{path}: {exc}") from None
 
 
+def _flagged(flag: str, value, make, *args, **kwargs):
+    """make(*args, **kwargs), a call that uses flag's value, naming the flag
+    and the value in a DataError when make raises ValueError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise DataError(f"{flag} {value}: {exc}") from None
+
+
 def _load_labeled(path, cfg: PipelineConfig):
     """(X, y, (train rows, test rows)): the recording's (n, 100) frame matrix,
     the class index 1..10 of each frame and the configured split."""
@@ -140,12 +149,14 @@ def _load_labeled(path, cfg: PipelineConfig):
 
 
 def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
-    synth_cfg = SynthConfig(
-        n_samples=max(args.n, 10) if args.movement_steps is not None else args.n,
-        snr_db=args.snr_db, seed=cfg.split_seed,
-    )
-    if args.movement_steps is not None:
-        rec, _classes = _movement_recording(synth_cfg, args.movement_steps, cfg.arm)
+    movement = args.movement_steps is not None
+    n = max(args.n, 10) if movement else args.n  # a movement has no labeled frames
+    synth_cfg = _flagged("--n", args.n, SynthConfig, n_samples=n, seed=cfg.split_seed)
+    synth_cfg = _flagged("--snr-db", args.snr_db, dataclasses.replace, synth_cfg,
+                         snr_db=args.snr_db)
+    if movement:
+        classes = _flagged("--movement-steps", args.movement_steps, _ramp, args.movement_steps)
+        rec = _movement_recording(synth_cfg, classes, cfg.arm)
         name = "movement.csv"
     else:
         rec, _classes = _labeled_recording(synth_cfg, cfg.arm)
@@ -195,11 +206,13 @@ def _step_times(n: int) -> np.ndarray:
 def _cmd_simulate(args, cfg: PipelineConfig) -> int:
     if args.activations:
         act = _read_trajectory(args.activations, "activation", ActivationTrajectory)
+        angles = forward_dynamics(cfg.arm, act)
     elif args.constant is not None:
-        act = ActivationTrajectory(levels=[args.constant] * args.steps)
+        act = _flagged("--constant", args.constant, ActivationTrajectory,
+                       levels=[args.constant] * args.steps)
+        angles = _flagged("--steps", args.steps, forward_dynamics, cfg.arm, act)
     else:
         raise DataError("simulate needs --activations or --constant")
-    angles = forward_dynamics(cfg.arm, act)
     out = _out_dir(args, cfg)
     path = out / "trajectory.csv"
     write_columns(path, ["t_s", "activation", "angle_deg"],
@@ -249,7 +262,7 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
         rec = load_recording_csv(data)
     else:
         # self-contained demo: deterministic synthetic movement from the seed
-        rec, _classes = _movement_recording(SynthConfig(seed=cfg.split_seed), 500, cfg.arm)
+        rec = _movement_recording(SynthConfig(seed=cfg.split_seed), _ramp(500), cfg.arm)
     out, result = _decode(args, cfg, rec)
     write_wav(result.audio, out / "out.wav")
     if result.metrics is not None:

@@ -34,6 +34,7 @@ from .eeg import (
     N_CHANNELS,
     SAMPLE_RATE_HZ,
     SAMPLES_PER_FRAME,
+    _all_finite,
     class_indices,
     nearest_classes,
     window_frames,
@@ -60,19 +61,29 @@ class SynthConfig:
 
 def _eeg(cfg: SynthConfig, classes, rng: np.random.Generator) -> np.ndarray:
     """The class signal of per-frame classes (class_indices) on all channels,
-    plus noise scaled per frame. Raises ValueError, naming snr_db, when it
-    makes any sample non-finite."""
+    plus noise scaled per frame, as one read-only array that owns its memory,
+    which EegRecording keeps. Raises ValueError, naming snr_db, when it makes
+    any sample non-finite."""
     t = np.arange(len(classes) * SAMPLES_PER_FRAME) / SAMPLE_RATE_HZ
-    with np.errstate(all="ignore"):
-        amps = np.repeat(class_indices(classes) * AMP_PER_CLASS, SAMPLES_PER_FRAME)
-        clean = amps * np.sin(2.0 * math.pi * CARRIER_HZ * t)
-        out = np.tile(clean, (N_CHANNELS, 1))
-        if cfg.snr_db != math.inf:  # -inf, all noise, is refused below
+    amps = np.repeat(class_indices(classes) * AMP_PER_CLASS, SAMPLES_PER_FRAME)
+    clean = amps * np.sin(2.0 * math.pi * CARRIER_HZ * t)
+    del t, amps  # freed before the output is allocated
+    if cfg.snr_db == math.inf:
+        out = np.empty((N_CHANNELS, clean.size))
+        out[:] = clean
+    else:  # -inf, all noise, is refused below
+        # the noise is drawn into the output, then scaled and shifted in
+        # place: the same draws and, as IEEE * and + commute, the same bits
+        # as clean + noise * sigma
+        with np.errstate(all="ignore"):
             frame_power = np.mean(clean.reshape(-1, SAMPLES_PER_FRAME) ** 2, axis=1)
             sigma = np.sqrt(frame_power / np.float64(10.0) ** (cfg.snr_db / 10.0))
-            out += rng.normal(0.0, 1.0, size=out.shape) * np.repeat(sigma, SAMPLES_PER_FRAME)
-    if not np.isfinite(out).all():
+            out = rng.normal(0.0, 1.0, size=(N_CHANNELS, clean.size))
+            out *= np.repeat(sigma, SAMPLES_PER_FRAME)
+            out += clean
+    if not _all_finite(out):
         raise ValueError(f"synthetic EEG is not finite at snr_db={cfg.snr_db}")
+    out.setflags(write=False)
     return out
 
 
@@ -116,16 +127,14 @@ def ramp_classes(n_steps: int) -> list[ActivationClass]:
     return [ActivationClass(k) for k in _ramp(n_steps).tolist()]
 
 
-def _movement_recording(
-    cfg: SynthConfig, n_steps: int, model: ArmModel
-) -> tuple[EegRecording, np.ndarray]:
-    """The recording of generate_movement and the int64 class index 1..10
-    of each step. An arm that _check_classes_apart refuses raises DataError."""
+def _movement_recording(cfg: SynthConfig, classes: np.ndarray, model: ArmModel) -> EegRecording:
+    """The recording of generate_movement for the int64 class index 1..10 of
+    each step (_ramp). An arm that _check_classes_apart refuses raises
+    DataError."""
     _check_classes_apart(model)
-    classes = _ramp(n_steps)
     samples = _eeg(cfg, classes, np.random.default_rng(cfg.seed))
     angles = forward_dynamics(model, ActivationTrajectory(levels=classes / 10.0))
-    return EegRecording(samples=samples, kinematics=angles.angles_deg), classes
+    return EegRecording(samples=samples, kinematics=angles.angles_deg)
 
 
 def generate_movement(
@@ -140,7 +149,8 @@ def generate_movement(
     (simulated) hand actually performs, which downstream evaluation treats
     as the recorded ground truth.
     """
-    rec, classes = _movement_recording(cfg, n_steps, ArmModel() if model is None else model)
+    classes = _ramp(n_steps)
+    rec = _movement_recording(cfg, classes, ArmModel() if model is None else model)
     return rec, [ActivationClass(k) for k in classes.tolist()]
 
 

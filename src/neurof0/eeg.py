@@ -45,14 +45,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of a float array is finite."""
+    # an array holds a NaN or an infinity exactly when its extremes do; unlike
+    # np.isfinite, min and max allocate nothing the size of the array
+    return not arr.size or (math.isfinite(arr.min()) and math.isfinite(arr.max()))
+
+
 def _vector(values, name: str) -> np.ndarray:
     """values as a read-only float vector (a scalar is a vector of one);
     raises ValueError naming name unless they are finite and 1-D."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))
-    # a vector holds a NaN or an infinity exactly when its extremes do; unlike
-    # np.isfinite, min and max allocate nothing the size of the vector
-    if arr.ndim != 1 or (arr.size and not (math.isfinite(arr.min())
-                                           and math.isfinite(arr.max()))):
+    if arr.ndim != 1 or not _all_finite(arr):
         raise ValueError(f"{name} must be a finite 1-D vector")
     return _readonly(arr)
 
@@ -173,7 +177,7 @@ class EegRecording:
                 raise ValueError(f"channel name {name!r:.60} cannot be a CSV header cell")
         if ANGLE_COLUMN in names:
             raise ValueError(f"{ANGLE_COLUMN!r} names the kinematics column, not a channel")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             ch, i = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"non-finite sample {arr[ch, i]} at index {i} of channel {names[ch]}")
         object.__setattr__(self, "samples", _readonly(arr))
@@ -325,11 +329,13 @@ def _refusal(path, exc) -> DataError:
     if os.path.isfile(path):
         with closing(_csv_rows(path)) as rows:
             header = next(rows)
-            angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
+            readers = [_number] * len(header)
+            if ANGLE_COLUMN in header:
+                readers[header.index(ANGLE_COLUMN)] = _angle_cell
             for row_no, row in rows:
-                for col, (name, cell) in enumerate(zip(header, row)):
+                for reader, name, cell in zip(readers, header, row):
                     try:
-                        (_angle_cell if col == angle_col else _number)(cell)
+                        reader(cell)
                     except ValueError:  # _cell_value raises, naming the cell
                         _cell_value(cell, path, row_no, name)
     return DataError(f"{path}: {exc}")

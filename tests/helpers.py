@@ -363,9 +363,10 @@ def inverse_tracking_reference(model, target_deg, theta0_deg, sub_dt_s: float):
     return tuple(chosen), total_loss
 
 
-# Reference for neurof0.datagen's dataset generator: generate_dataset as it
-# was when it built the dataset frame by frame, with the signal and noise
-# helpers it called, kept verbatim.
+# Reference for neurof0.datagen's generators: generate_dataset as it was
+# when it built the dataset frame by frame, with the signal and noise helpers
+# it called, and _eeg as it was when it tiled the carrier and added the noise
+# as a third array, kept verbatim.
 
 def _clean_signal(cfg, classes) -> np.ndarray:
     """Noiseless single-channel signal for per-frame classes (class_indices)."""
@@ -390,6 +391,33 @@ def _noisy_channels(cfg, clean: np.ndarray, rng: np.random.Generator) -> np.ndar
     per_sample_sigma = np.repeat(sigma, SAMPLES_PER_FRAME)
     out += rng.normal(0.0, 1.0, size=out.shape) * per_sample_sigma
     return out
+
+
+def _eeg_reference(cfg, classes, rng: np.random.Generator) -> np.ndarray:
+    """The class signal of per-frame classes (class_indices) on all channels,
+    plus noise scaled per frame. Raises ValueError, naming snr_db, when it
+    makes any sample non-finite."""
+    from neurof0.datagen import AMP_PER_CLASS, CARRIER_HZ
+    from neurof0.eeg import N_CHANNELS, SAMPLE_RATE_HZ, SAMPLES_PER_FRAME, class_indices
+
+    t = np.arange(len(classes) * SAMPLES_PER_FRAME) / SAMPLE_RATE_HZ
+    with np.errstate(all="ignore"):
+        amps = np.repeat(class_indices(classes) * AMP_PER_CLASS, SAMPLES_PER_FRAME)
+        clean = amps * np.sin(2.0 * math.pi * CARRIER_HZ * t)
+        out = np.tile(clean, (N_CHANNELS, 1))
+        if cfg.snr_db != math.inf:  # -inf, all noise, is refused below
+            frame_power = np.mean(clean.reshape(-1, SAMPLES_PER_FRAME) ** 2, axis=1)
+            sigma = np.sqrt(frame_power / np.float64(10.0) ** (cfg.snr_db / 10.0))
+            out += rng.normal(0.0, 1.0, size=out.shape) * np.repeat(sigma, SAMPLES_PER_FRAME)
+    if not np.isfinite(out).all():
+        raise ValueError(f"synthetic EEG is not finite at snr_db={cfg.snr_db}")
+    return out
+
+
+def movement_samples_reference(cfg, n_steps: int) -> np.ndarray:
+    """The EEG of an n_steps movement recording, drawn by _eeg_reference."""
+    classes = ramp_classes_reference(n_steps)
+    return _eeg_reference(cfg, classes, np.random.default_rng(cfg.seed))
 
 
 def generate_dataset_reference(cfg):

@@ -84,6 +84,20 @@ class TestDataErrors:
         assert "n_steps must be at least 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (("gen-data", "--n", "0"), "--n 0: n_samples must be at least 10 (one per class)"),
+        (("gen-data", "--movement-steps", "0"), "--movement-steps 0: n_steps must be at least 1"),
+        (("simulate", "--constant", "0.5", "--steps", "0"),
+         "--steps 0: activation trajectory is empty"),
+        (("gen-data", "--snr-db", "nan"),
+         "--snr-db nan: snr_db must be a number (use inf for noiseless)"),
+        (("simulate", "--constant", "2"), "--constant 2.0: activation level 2.0 outside [0, 1]"),
+    ], ids=["n", "movement-steps", "steps", "snr-db", "constant"])
+    def test_refused_value_names_its_flag(self, tmp_path, capsys, argv, message):
+        assert run("--out", str(tmp_path), *argv) == 2
+        assert capsys.readouterr().err == f"nf0: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [("simulate", "--constant", "0.5"),
                                       ("gen-data", "--movement-steps", "20"),
                                       ("pipeline", "--model", "absent.nf0f")],

@@ -1,12 +1,17 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from neurof0 import datagen
 from neurof0.arm import ArmModel, AngleTrajectory, derive_labels, forward_dynamics, ActivationTrajectory
 from neurof0.datagen import (
     AMP_PER_CLASS,
     SynthConfig,
+    _labeled_recording,
+    _movement_recording,
+    _ramp,
     dataset_to_recording,
     generate_dataset,
     generate_movement,
@@ -167,3 +172,42 @@ class TestNonFiniteEeg:
         loud, _ = generate_movement(SynthConfig(n_samples=10, snr_db=4000.0, seed=2), 20)
         clean, _ = generate_movement(SynthConfig(n_samples=10, snr_db=NOISELESS, seed=2), 20)
         np.testing.assert_array_equal(loud.samples, clean.samples)
+
+
+class TestPeakMemory:
+    """A recording is generated in about its own size: the noise is drawn
+    into the buffer that the recording keeps."""
+
+    @pytest.mark.parametrize("frames", [2500, 20000])
+    @pytest.mark.parametrize("snr_db", [20.0, NOISELESS], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize("kind", ["dataset", "movement"])
+    def test_peak_of_one_recording(self, monkeypatch, kind, snr_db, frames):
+        original, drawn = datagen._eeg, []
+
+        def eeg(*args):
+            drawn.append(original(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(datagen, "_eeg", eeg)
+
+        def make(n):
+            cfg = SynthConfig(n_samples=max(n, 10), snr_db=snr_db, seed=3)
+            if kind == "dataset":
+                return _labeled_recording(cfg, ArmModel())[0]
+            return _movement_recording(cfg, _ramp(n), ArmModel())
+
+        make(10)  # the first call's one-off imports are not the recording's
+        if kind == "movement":
+            # the RK4 loop allocates nothing the size of the recording, but runs
+            # ten times slower traced: it hands over its result, made untraced
+            levels = ActivationTrajectory(levels=_ramp(frames) / 10.0)
+            angles = forward_dynamics(ArmModel(), levels)
+            monkeypatch.setattr(datagen, "forward_dynamics", lambda model, act: angles)
+        tracemalloc.start()
+        try:
+            rec = make(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.samples is drawn[-1]
+        assert peak <= 1.5 * rec.samples.nbytes

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import (
+    _eeg_reference,
     _integrate_control_step,
     assert_loads_as_streaming,
     best_split_reference,
@@ -28,6 +29,7 @@ from helpers import (
     generate_dataset_reference,
     inverse_tracking_reference,
     map_angle_to_f0_reference,
+    movement_samples_reference,
     ramp_classes_reference,
     snap_to_class_angle_reference,
 )
@@ -49,6 +51,7 @@ from neurof0.datagen import (
     _ramp,
     dataset_to_recording,
     generate_dataset,
+    generate_movement,
     ramp_classes,
 )
 from neurof0.cli import cli_main
@@ -427,23 +430,32 @@ class TestCsvRoundTrip:
                     == rec.kinematics.view(np.uint64).tolist())
 
 
+# an SNR flag value, or None for the default (no flag)
+SNR_DB = st.one_of(st.floats(-30.0, 80.0), st.just(math.inf), st.none())
+
+
+def _gen_data(tmp: str, force_n: float, seed: int, snr_db, *flags: str) -> None:
+    """Run gen-data into tmp under an arm of max_muscle_force_n force_n."""
+    config = Path(tmp) / "arm.json"
+    config.write_text(json.dumps({"arm": {"max_muscle_force_n": force_n}}))
+    snr_flag = [] if snr_db is None else [f"--snr-db={snr_db}"]
+    assert cli_main(["--config", str(config), "--out", tmp, "--seed", str(seed),
+                     "gen-data", *flags, *snr_flag]) == 0
+
+
 class TestGenDataset:
-    """gen-data and generate_dataset against the frame-by-frame generator."""
+    """gen-data, generate_dataset and generate_movement against the
+    frame-by-frame generator and the tiling _eeg."""
 
     @SETTINGS
-    @given(n=st.integers(10, 300), seed=st.integers(0, 2**64 - 1),
-           snr_db=st.sampled_from([20.0, 40.0, math.inf, None]),
+    @given(n=st.integers(10, 300), seed=st.integers(0, 2**64 - 1), snr_db=SNR_DB,
            force_n=st.sampled_from([150.0, 40.0]))
     def test_matches_reference(self, n, seed, snr_db, force_n):
         cfg = SynthConfig(n_samples=n, seed=seed,
                           **({} if snr_db is None else {"snr_db": snr_db}))
         reference = generate_dataset_reference(cfg)
-        flags = [] if snr_db is None else ["--snr-db", str(snr_db)]
         with tempfile.TemporaryDirectory() as tmp:
-            config = Path(tmp) / "arm.json"
-            config.write_text(json.dumps({"arm": {"max_muscle_force_n": force_n}}))
-            assert cli_main(["--config", str(config), "--out", tmp, "--seed", str(seed),
-                             "gen-data", "--n", str(n), *flags]) == 0
+            _gen_data(tmp, force_n, seed, snr_db, "--n", str(n))
             back = load_recording_csv(Path(tmp) / "dataset.csv")
         want = dataset_to_recording(reference, ArmModel(max_muscle_force_n=force_n))
         assert back.samples.tobytes() == want.samples.tobytes()
@@ -456,6 +468,31 @@ class TestGenDataset:
         assert ds.labels == reference.labels
         assert ds.metadata == reference.metadata
         assert ds.split_seed == reference.split_seed
+
+    @SETTINGS
+    @given(steps=st.integers(1, 300), seed=st.integers(0, 2**64 - 1), snr_db=SNR_DB,
+           force_n=st.sampled_from([150.0, 40.0]))
+    def test_movement_matches_reference(self, steps, seed, snr_db, force_n):
+        cfg = SynthConfig(seed=seed, **({} if snr_db is None else {"snr_db": snr_db}))
+        want = movement_samples_reference(cfg, steps)
+        with tempfile.TemporaryDirectory() as tmp:
+            _gen_data(tmp, force_n, seed, snr_db, "--movement-steps", str(steps))
+            back = load_recording_csv(Path(tmp) / "movement.csv")
+        rec, classes = generate_movement(cfg, steps, ArmModel(max_muscle_force_n=force_n))
+        assert [c.index for c in classes] == ramp_classes_reference(steps)
+        assert rec.samples.tobytes() == want.tobytes()
+        assert back.samples.tobytes() == want.tobytes()
+        assert back.kinematics.tobytes() == rec.kinematics.tobytes()
+
+    @pytest.mark.parametrize("kind", [("--n", "20"), ("--movement-steps", "20")],
+                             ids=["dataset", "movement"])
+    def test_all_noise_refused_as_before(self, tmp_path, capsys, kind):
+        cfg = SynthConfig(n_samples=20, snr_db=-math.inf)
+        with pytest.raises(ValueError) as want:
+            _eeg_reference(cfg, [1] * 20, np.random.default_rng(0))
+        assert cli_main(["--out", str(tmp_path), "gen-data", *kind, "--snr-db=-inf"]) == 2
+        assert capsys.readouterr().err == f"nf0: error: {want.value}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 @lru_cache(maxsize=None)
