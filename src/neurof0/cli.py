@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arm import CONTROL_DT_S, ActivationTrajectory, forward_dynamics, label_classes
+from .arm import (CONTROL_DT_S, ActivationTrajectory, _check_classes_apart, forward_dynamics,
+                  label_classes)
 from .datagen import SynthConfig, _labeled_recording, _movement_recording, _ramp
 from .eeg import (
     ANGLE_COLUMN,
@@ -24,7 +25,7 @@ from .eeg import (
     write_columns,
     write_recording_csv,
 )
-from .errors import DataError
+from .errors import DataError, naming
 from .forest import fit as train_forest, load_model, predict_batch, save_model
 from .pipeline import (
     PipelineConfig,
@@ -90,7 +91,8 @@ def _build_parser() -> _Parser:
 def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, split_seed=args.seed)
+        with naming(f"--seed {args.seed}"):
+            cfg = dataclasses.replace(cfg, split_seed=args.seed)
     return cfg
 
 
@@ -122,19 +124,8 @@ def _read_trajectory(path, column: str, make):
     """make(values) of a trajectory CSV's column, naming the file in a
     DataError when make refuses the values."""
     values = read_column(path, column)
-    try:
+    with naming(path):
         return make(values)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _flagged(flag: str, value, make, *args, **kwargs):
-    """make(*args, **kwargs), a call that uses flag's value, naming the flag
-    and the value in a DataError when make raises ValueError."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise DataError(f"{flag} {value}: {exc}") from None
 
 
 def _load_labeled(path, cfg: PipelineConfig):
@@ -144,18 +135,22 @@ def _load_labeled(path, cfg: PipelineConfig):
     if rec.kinematics is None:
         raise DataError(f"{path}: no {ANGLE_COLUMN} column; labels cannot be derived")
     X = window_matrix(rec)
-    y = label_classes(cfg.arm, rec.kinematics)
+    _check_classes_apart(cfg.arm)  # a fault of the config, not named by the file
+    with naming(path):  # an angle outside the joint limits
+        y = label_classes(cfg.arm, rec.kinematics)
     return X, y, split_indices(len(y), cfg.train_fraction, cfg.split_seed)
 
 
 def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
     movement = args.movement_steps is not None
     n = max(args.n, 10) if movement else args.n  # a movement has no labeled frames
-    synth_cfg = _flagged("--n", args.n, SynthConfig, n_samples=n, seed=cfg.split_seed)
-    synth_cfg = _flagged("--snr-db", args.snr_db, dataclasses.replace, synth_cfg,
-                         snr_db=args.snr_db)
+    with naming(f"--n {args.n}"):
+        synth_cfg = SynthConfig(n_samples=n, seed=cfg.split_seed)
+    with naming(f"--snr-db {args.snr_db}"):
+        synth_cfg = dataclasses.replace(synth_cfg, snr_db=args.snr_db)
     if movement:
-        classes = _flagged("--movement-steps", args.movement_steps, _ramp, args.movement_steps)
+        with naming(f"--movement-steps {args.movement_steps}"):
+            classes = _ramp(args.movement_steps)
         rec = _movement_recording(synth_cfg, classes, cfg.arm)
         name = "movement.csv"
     else:
@@ -208,9 +203,10 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> int:
         act = _read_trajectory(args.activations, "activation", ActivationTrajectory)
         angles = forward_dynamics(cfg.arm, act)
     elif args.constant is not None:
-        act = _flagged("--constant", args.constant, ActivationTrajectory,
-                       levels=[args.constant] * args.steps)
-        angles = _flagged("--steps", args.steps, forward_dynamics, cfg.arm, act)
+        with naming(f"--constant {args.constant}"):
+            act = ActivationTrajectory(levels=[args.constant] * args.steps)
+        with naming(f"--steps {args.steps}"):
+            angles = forward_dynamics(cfg.arm, act)
     else:
         raise DataError("simulate needs --activations or --constant")
     out = _out_dir(args, cfg)

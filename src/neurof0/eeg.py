@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, naming
 from .rng import SplitMix64
 
 DEFAULT_CHANNELS = ("FP1", "FP2", "F7", "F8", "T3", "T4", "T5", "T6", "O1", "O2")
@@ -227,26 +227,24 @@ def _csv_rows(path):
     with other than one cell per header column, a cell the csv module
     rejects (such as one over its field size limit) or text that is not
     UTF-8 raises DataError. Callers close the generator, which closes the
-    file."""
+    file, and name the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
-                raise DataError(f"{path}: empty file, expected a header row")
+                raise DataError("empty file, expected a header row")
             header = [h.strip() for h in header]
             yield header
             for row_no, row in enumerate(reader, start=2):
                 if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                    )
+                    raise DataError(f"row {row_no} has {len(row)} cells, expected {len(header)}")
                 yield row_no, row
         except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise DataError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DataError(
-                f"{path}: not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})"
+                f"not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})"
             ) from None
 
 
@@ -266,7 +264,7 @@ def load_recording_csv(path) -> EegRecording:
     raises DataError on every other rule. Each names the file, and the row
     where there is one; a missing file raises FileNotFoundError.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, naming(path):
         try:
             header = next(csv.reader(fh), None)
             if header is None:
@@ -285,7 +283,7 @@ def load_recording_csv(path) -> EegRecording:
                                      f"{len(header)} header cells")
         except (ValueError, csv.Error) as exc:  # UnicodeDecodeError included
             raise _refusal(path, exc) from None
-    return _recording(path, header, cells)
+        return _recording(header, cells)
 
 
 def _data_lines(fh):
@@ -325,7 +323,8 @@ def _refusal(path, exc) -> DataError:
     """The DataError for a recording CSV whose text load_recording_csv could
     not read (exc). A regular file is read again through _csv_rows, _number
     and, in the angle column, _angle_cell, and its first fault is raised,
-    named by row and column; any other path, such as a pipe, gets exc's."""
+    named by row and column; any other path, such as a pipe, gets exc's
+    message. The caller names the file."""
     if os.path.isfile(path):
         with closing(_csv_rows(path)) as rows:
             header = next(rows)
@@ -337,29 +336,28 @@ def _refusal(path, exc) -> DataError:
                     try:
                         reader(cell)
                     except ValueError:  # _cell_value raises, naming the cell
-                        _cell_value(cell, path, row_no, name)
-    return DataError(f"{path}: {exc}")
+                        _cell_value(cell, row_no, name)
+    return DataError(str(exc))
 
 
-def _recording(path, header: Sequence[str], cells: np.ndarray) -> EegRecording:
+def _recording(header: Sequence[str], cells: np.ndarray) -> EegRecording:
     """The recording that a tokenizer's header and cells (in row order,
-    overwritten here) hold, or a DataError naming the file: no data rows,
-    an angle off a window's first row or a non-finite sample (naming the
-    row and column), or whatever EegRecording refuses."""
+    overwritten here) hold. No data rows, an angle off a window's first row
+    or a non-finite sample (naming the row and column) raises DataError;
+    whatever EegRecording refuses raises ValueError. The caller names the
+    file."""
     angle_col = header.index(ANGLE_COLUMN) if ANGLE_COLUMN in header else None
     channel_names = [h for i, h in enumerate(header) if i != angle_col]
     if not cells.size:
-        raise DataError(f"{path}: no data rows")
+        raise DataError("no data rows")
     table = cells.reshape(-1, len(header))
     kinematics = None
     if angle_col is not None:
         rows = np.flatnonzero(~np.isnan(table[:, angle_col]))
         off = rows[rows % SAMPLES_PER_FRAME != 0]
         if off.size:
-            raise DataError(
-                f"{path}: {ANGLE_COLUMN} value on row {int(off[0]) + 2}, which is "
-                f"not the first row of its {SAMPLES_PER_FRAME}-row window"
-            )
+            raise DataError(f"{ANGLE_COLUMN} value on row {int(off[0]) + 2}, which is not "
+                            f"the first row of its {SAMPLES_PER_FRAME}-row window")
         kinematics = table[rows, angle_col]
         # drop the angle column within the cells' own buffer, so that
         # EegRecording's copy is the only one
@@ -368,21 +366,18 @@ def _recording(path, header: Sequence[str], cells: np.ndarray) -> EegRecording:
     bad = np.flatnonzero(~np.isfinite(table))
     if bad.size:  # _cell_value raises, naming the first bad cell
         row, col = divmod(int(bad[0]), len(channel_names))
-        _cell_value(repr(table.flat[bad[0]].item()), path, row + 2, channel_names[col])
-    try:
-        return EegRecording(samples=table.T, channel_names=channel_names, kinematics=kinematics)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        _cell_value(repr(table.flat[bad[0]].item()), row + 2, channel_names[col])
+    return EegRecording(samples=table.T, channel_names=channel_names, kinematics=kinematics)
 
 
-def _cell_value(cell: str, path, row_no: int, column: str) -> float:
+def _cell_value(cell: str, row_no: int, column: str) -> float:
     try:
         value = _number(cell)
         fault = None if math.isfinite(value) else "non-finite value"
     except ValueError:
         fault = "non-numeric cell"
     if fault:
-        raise DataError(f"{path}: {fault} {cell!r} on row {row_no}, column {column}")
+        raise DataError(f"{fault} {cell!r} on row {row_no}, column {column}")
     return value
 
 
@@ -390,17 +385,17 @@ def read_column(path, column: str) -> np.ndarray:
     """One named column of a CSV file with a header row, such as f0_hz of
     an f0.csv. Raises DataError on a missing or repeated column, no data
     rows, or, naming row and column, a ragged row or a non-numeric or
-    non-finite cell."""
-    with closing(_csv_rows(path)) as rows:
+    non-finite cell; each names the file."""
+    with naming(path), closing(_csv_rows(path)) as rows:
         header = next(rows)
         if column not in header:
-            raise DataError(f"{path}: no {column!r} column")
+            raise DataError(f"no {column!r} column")
         if header.count(column) > 1:
-            raise DataError(f"{path}: {header.count(column)} columns named {column!r}")
+            raise DataError(f"{header.count(column)} columns named {column!r}")
         col = header.index(column)
-        values = [_cell_value(row[col], path, row_no, column) for row_no, row in rows]
-    if not values:
-        raise DataError(f"{path}: no data rows")
+        values = [_cell_value(row[col], row_no, column) for row_no, row in rows]
+        if not values:
+            raise DataError("no data rows")
     return np.array(values)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and naming, which names a refusal by its input."""
+
+from contextlib import contextmanager
 
 
 class DataError(ValueError):
@@ -11,3 +13,15 @@ class ModelFileError(DataError):
 
 class PipelineStageError(DataError):
     """A pipeline stage failed; the message names the stage."""
+
+
+@contextmanager
+def naming(where):
+    """A ValueError the block raises leaves as a DataError, and a DataError as
+    its own class, with the message f"{where}: {exc}"; anything else, such
+    as an OSError for a missing file, passes through."""
+    try:
+        yield
+    except ValueError as exc:
+        cls = type(exc) if isinstance(exc, DataError) else DataError
+        raise cls(f"{where}: {exc}") from None

@@ -32,7 +32,7 @@ import numpy as np
 
 from .eeg import (N_CHANNELS, SAMPLES_PER_FRAME, ActivationClass, EegFrame, LabeledDataset,
                   class_indices)
-from .errors import ModelFileError
+from .errors import ModelFileError, naming
 from .rng import SplitMix64
 
 N_FEATURES = N_CHANNELS * SAMPLES_PER_FRAME
@@ -339,10 +339,8 @@ def load_model(path) -> ForestModel:
     raises ModelFileError naming path."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    try:
+    with naming(path):
         return _model_from_bytes(blob)
-    except ModelFileError as exc:
-        raise ModelFileError(f"{path}: {exc}") from None
 
 
 def _model_from_bytes(blob: bytes) -> ForestModel:

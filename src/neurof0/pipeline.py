@@ -28,7 +28,7 @@ import numpy as np
 from .arm import (ActivationTrajectory, AngleTrajectory, ArmModel, class_angles,
                   forward_dynamics, label_classes)
 from .eeg import EegRecording, class_indices, window_matrix
-from .errors import DataError, PipelineStageError
+from .errors import DataError, PipelineStageError, naming
 from .forest import ForestHyperparams, ForestModel, predict_batch
 from .metrics import MetricsReport, accuracy, rmse
 from .voice import (AudioBuffer, F0Mapping, F0Trajectory, _samples_per_step, map_trajectory,
@@ -104,10 +104,8 @@ def _section(raw: dict, name: str, cls, keys: Optional[dict] = None) -> dict:
 
 
 def _build(cls, where: str, kwargs: dict):
-    try:
+    with naming(f"invalid {where}"):
         return cls(**kwargs)
-    except ValueError as exc:
-        raise DataError(f"invalid {where}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -122,18 +120,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming(path):
+        try:
             raw = json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        # undecodable bytes and nesting too deep for the parser included
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: config must be a JSON object")
-    try:
+        except (ValueError, RecursionError) as exc:
+            # undecodable bytes and nesting too deep for the parser included
+            raise DataError(f"invalid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise DataError("config must be a JSON object")
         return config_from_dict(raw)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

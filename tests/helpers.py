@@ -48,12 +48,12 @@ def _csv_cells(path):
             for row_no, row in rows:
                 for col, (name, cell) in enumerate(zip(header, row)):
                     if col == angle_col:
-                        yield _cell_value(cell, path, row_no, name) if cell.strip() else math.nan
+                        yield _cell_value(cell, row_no, name) if cell.strip() else math.nan
                         continue
                     try:
                         value = _number(cell)
                     except ValueError:  # _cell_value raises, naming the cell
-                        _cell_value(cell, path, row_no, name)
+                        _cell_value(cell, row_no, name)
                     yield value
 
         return header, np.fromiter(cells(), dtype=float)
@@ -65,10 +65,11 @@ def assert_loads_as_streaming(path):
     and memory layout and the same channel names, or a DataError with the
     same message. Returns the recording, or None."""
     from neurof0.eeg import _recording, load_recording_csv
-    from neurof0.errors import DataError
+    from neurof0.errors import DataError, naming
 
     try:
-        want = _recording(path, *_csv_cells(path))
+        with naming(path):
+            want = _recording(*_csv_cells(path))
     except DataError as exc:
         try:
             load_recording_csv(path)

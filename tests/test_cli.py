@@ -92,7 +92,8 @@ class TestDataErrors:
         (("gen-data", "--snr-db", "nan"),
          "--snr-db nan: snr_db must be a number (use inf for noiseless)"),
         (("simulate", "--constant", "2"), "--constant 2.0: activation level 2.0 outside [0, 1]"),
-    ], ids=["n", "movement-steps", "steps", "snr-db", "constant"])
+        (("--seed", "-1", "gen-data"), "--seed -1: split_seed must be in 0..2**64 - 1, got -1"),
+    ], ids=["n", "movement-steps", "steps", "snr-db", "constant", "seed"])
     def test_refused_value_names_its_flag(self, tmp_path, capsys, argv, message):
         assert run("--out", str(tmp_path), *argv) == 2
         assert capsys.readouterr().err == f"nf0: error: {message}\n"
@@ -313,6 +314,18 @@ class TestArmLabels:
         assert capsys.readouterr().err == (
             "nf0: error: the arm config labels the angles of all ten classes as class 1, "
             "so no two classes can be told apart\n")
+        assert not (out / "metrics.json").exists() and not (out / "model.nf0f").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_angle_outside_limits_names_the_file(self, tmp_path, capsys, dataset_csv, command):
+        lines = dataset_csv.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",95.0\n"  # the first window's angle
+        far = tmp_path / "far.csv"
+        far.write_text("".join(lines))
+        out = tmp_path / "run"
+        assert run("--out", str(out), command, "--data", str(far)) == 2
+        assert capsys.readouterr().err == (
+            f"nf0: error: {far}: angle 95.0 deg outside limits [0.0, 90.0]\n")
         assert not (out / "metrics.json").exists() and not (out / "model.nf0f").exists()
 
     @pytest.mark.parametrize("form", [["--n", "50"], ["--movement-steps", "30"]],

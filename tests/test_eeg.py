@@ -631,7 +631,7 @@ class TestCsvFastPath:
 
         assert cli_main(["--out", str(tmp_path), "gen-data", "--n", "30"]) == 0
         assert cli_main(["--out", str(tmp_path), "gen-data", "--movement-steps", "25"]) == 0
-        want = [eeg._recording(tmp_path / n, *_csv_cells(tmp_path / n))
+        want = [eeg._recording(*_csv_cells(tmp_path / n))
                 for n in ("dataset.csv", "movement.csv")]
 
         def refuse(path):

@@ -6,8 +6,9 @@ dataset from the generator's arrays. The per-frame objects, the datasets built
 of them and the list-returning wrappers exist for the public API only. The
 recording CSV layout is eeg's alone: cli.py reads no CSV rows itself, and
 in eeg.py each recording rule is worded, and so checked, in one function,
-and one function, _number, reads a number from a CSV cell. Every text file
-the package writes names its line separator, so no output follows the host's.
+and one function, _number, reads a number from a CSV cell; its readers name
+the file and its helpers do not. Every text file the package writes names its
+line separator, so no output follows the host's.
 """
 
 import ast
@@ -83,6 +84,17 @@ def functions_wording(tree, text):
 ])
 def test_each_recording_rule_in_one_function(text, owner):
     assert functions_wording(ast.parse(inspect.getsource(eeg)), text) == {owner}
+
+
+@pytest.mark.parametrize("name", ["_csv_rows", "_refusal", "_recording", "_cell_value"])
+def test_eeg_helpers_leave_the_path_to_their_boundary(name):
+    # load_recording_csv and read_column name the file once, by
+    # errors.naming; a helper that named it too would print it twice
+    tree = ast.parse(inspect.getsource(getattr(eeg, name)))
+    named = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.FormattedValue)
+             and any(isinstance(n, ast.Name) and n.id == "path" for n in ast.walk(node))]
+    assert named == []
 
 
 def test_cli_leaves_the_window_rule_to_the_recording():
