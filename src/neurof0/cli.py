@@ -56,32 +56,39 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset or movement CSV")
+    p.set_defaults(run=_cmd_gen_data)
     p.add_argument("--n", type=int, default=500, help="number of labeled frames")
     p.add_argument("--snr-db", type=float, default=40.0, help="per-frame SNR in dB (inf for noiseless)")
     p.add_argument("--movement-steps", type=int, metavar="N",
                    help="write an N-step movement recording instead of a dataset")
 
     p = sub.add_parser("train", help="train the classifier on the train split")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--data", metavar="CSV", help="recording CSV with kinematics")
     p.add_argument("--model", metavar="PATH", help="where to write the model")
 
     p = sub.add_parser("eval", help="evaluate the classifier on the test split")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--data", metavar="CSV", help="recording CSV with kinematics")
     p.add_argument("--model", metavar="PATH", help="trained model file")
 
     p = sub.add_parser("simulate", help="forward-simulate an activation trajectory")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--activations", metavar="CSV", help="trajectory CSV with an activation column")
     p.add_argument("--constant", type=float, metavar="LEVEL", help="constant activation level")
     p.add_argument("--steps", type=int, default=500, help="steps for --constant (0.01 s each)")
 
     p = sub.add_parser("decode", help="decode a recording into activations/angles/F0")
+    p.set_defaults(run=_cmd_decode)
     p.add_argument("--data", metavar="CSV", help="recording CSV")
     p.add_argument("--model", metavar="PATH", help="trained model file")
 
     p = sub.add_parser("synth", help="render an F0 trajectory CSV to WAV")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--f0", metavar="CSV", required=True, help="CSV with t_s,f0_hz columns")
 
     p = sub.add_parser("pipeline", help="full decode: metrics, CSVs, and audio")
+    p.set_defaults(run=_cmd_pipeline)
     p.add_argument("--data", metavar="CSV", help="movement recording CSV")
     p.add_argument("--model", metavar="PATH", help="trained model file")
 
@@ -128,9 +135,11 @@ def _read_trajectory(path, column: str, make):
         return make(values)
 
 
-def _load_labeled(path, cfg: PipelineConfig):
-    """(X, y, (train rows, test rows)): the recording's (n, 100) frame matrix,
-    the class index 1..10 of each frame and the configured split."""
+def _load_labeled(args, cfg: PipelineConfig, part: str):
+    """X, y, train rows, test rows: the (n, 100) frame matrix of the recording
+    that --data names, the class index 1..10 of each frame and the configured
+    split, which must leave part ("train" or "eval") at least one frame."""
+    path = _data_path(args, cfg)
     rec = load_recording_csv(path)
     if rec.kinematics is None:
         raise DataError(f"{path}: no {ANGLE_COLUMN} column; labels cannot be derived")
@@ -138,7 +147,12 @@ def _load_labeled(path, cfg: PipelineConfig):
     _check_classes_apart(cfg.arm)  # a fault of the config, not named by the file
     with naming(path):  # an angle outside the joint limits
         y = label_classes(cfg.arm, rec.kinematics)
-    return X, y, split_indices(len(y), cfg.train_fraction, cfg.split_seed)
+    train, test = split_indices(len(y), cfg.train_fraction, cfg.split_seed)
+    rows, keeps = (train, "keeps") if part == "train" else (test, "holds out")
+    if not len(rows):
+        raise DataError(f"{path}: split.train_fraction {cfg.train_fraction} {keeps} "
+                        f"none of its {len(y)} frames for {part}")
+    return X, y, train, test
 
 
 def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
@@ -163,11 +177,7 @@ def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> int:
-    data = _data_path(args, cfg)
-    X, y, (train, test) = _load_labeled(data, cfg)
-    if not len(train):
-        raise DataError(f"{data}: split.train_fraction {cfg.train_fraction} keeps "
-                        f"none of its {len(y)} frames for train")
+    X, y, train, test = _load_labeled(args, cfg, "train")
     X, y = X[train], y[train]  # drops the held-out rows before training
     model = train_forest(X, y, cfg.forest)
     path = _model_path(args, cfg)
@@ -178,11 +188,7 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
-    data = _data_path(args, cfg)
-    X, y, (_train, test) = _load_labeled(data, cfg)
-    if not len(test):
-        raise DataError(f"{data}: split.train_fraction {cfg.train_fraction} holds out "
-                        f"none of its {len(y)} frames for eval")
+    X, y, _train, test = _load_labeled(args, cfg, "eval")
     model = load_model(_model_path(args, cfg))
     pred, _votes = predict_batch(model, X[test])
     report = evaluate_static(cfg, pred, y[test])
@@ -270,17 +276,6 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "simulate": _cmd_simulate,
-    "decode": _cmd_decode,
-    "synth": _cmd_synth,
-    "pipeline": _cmd_pipeline,
-}
-
-
 def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -292,7 +287,7 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         cfg = _load_cfg(args)
-        return _COMMANDS[args.command](args, cfg)
+        return args.run(args, cfg)
     except (DataError, OSError, ValueError, FloatingPointError, OverflowError,
             MemoryError) as exc:
         # the last two: a count too large to represent or to allocate

@@ -68,19 +68,16 @@ def _eeg(cfg: SynthConfig, classes, rng: np.random.Generator) -> np.ndarray:
     amps = np.repeat(class_indices(classes) * AMP_PER_CLASS, SAMPLES_PER_FRAME)
     clean = amps * np.sin(2.0 * math.pi * CARRIER_HZ * t)
     del t, amps  # freed before the output is allocated
-    if cfg.snr_db == math.inf:
-        out = np.empty((N_CHANNELS, clean.size))
-        out[:] = clean
-    else:  # -inf, all noise, is refused below
-        # the noise is drawn into the output, then scaled and shifted in
-        # place: the same draws and, as IEEE * and + commute, the same bits
-        # as clean + noise * sigma
-        with np.errstate(all="ignore"):
-            frame_power = np.mean(clean.reshape(-1, SAMPLES_PER_FRAME) ** 2, axis=1)
-            sigma = np.sqrt(frame_power / np.float64(10.0) ** (cfg.snr_db / 10.0))
-            out = rng.normal(0.0, 1.0, size=(N_CHANNELS, clean.size))
-            out *= np.repeat(sigma, SAMPLES_PER_FRAME)
-            out += clean
+    # the noise is drawn into the output, then scaled and shifted in place,
+    # which gives the bits of clean + noise * sigma. An infinite SNR needs no
+    # branch: its sigma is 0.0, and a zero plus clean is clean bit for bit,
+    # as no sample of clean is -0.0. -inf, all noise, is refused below
+    with np.errstate(all="ignore"):
+        frame_power = np.mean(clean.reshape(-1, SAMPLES_PER_FRAME) ** 2, axis=1)
+        sigma = np.sqrt(frame_power / np.float64(10.0) ** (cfg.snr_db / 10.0))
+        out = rng.normal(0.0, 1.0, size=(N_CHANNELS, clean.size))
+        out *= np.repeat(sigma, SAMPLES_PER_FRAME)
+        out += clean
     if not _all_finite(out):
         raise ValueError(f"synthetic EEG is not finite at snr_db={cfg.snr_db}")
     out.setflags(write=False)

@@ -116,7 +116,7 @@ def nearest_classes(values) -> np.ndarray:
     """Class index of the nearest class to each activation value, clamped
     into [0, 1] first; ties round up, and 0.0 maps to class 1 (0.1)."""
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
+    if not _all_finite(values):
         raise ValueError("activation value must be finite")
     return np.maximum(np.floor(np.clip(values, 0.0, 1.0) * 10.0 + 0.5), 1).astype(np.int64)
 
@@ -132,7 +132,7 @@ class EegFrame:
         arr = np.asarray(self.values, dtype=float)
         if arr.shape != (N_CHANNELS, SAMPLES_PER_FRAME):
             raise ValueError(f"frame must be {N_CHANNELS}x{SAMPLES_PER_FRAME}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("frame contains non-finite values")
         object.__setattr__(self, "values", _readonly(arr))
 

@@ -98,8 +98,10 @@ def _samples_per_step(f0: F0Trajectory, sample_rate_hz: int, amplitude: float) -
         raise ValueError(
             f"sample rate {sample_rate_hz} is not a whole number of samples per control step"
         )
-    if np.max(f0.values_hz) >= sample_rate_hz / 2:
-        raise ValueError("f0 at or above the Nyquist frequency would alias")
+    f0_max, nyquist = float(np.max(f0.values_hz)), sample_rate_hz / 2
+    if f0_max >= nyquist:
+        raise ValueError(f"f0 {f0_max} Hz at or above the Nyquist frequency {nyquist} Hz "
+                         f"of the {sample_rate_hz} Hz sample rate would alias")
     return spc
 
 

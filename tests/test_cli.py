@@ -490,8 +490,10 @@ class TestDecodeSynthPipeline:
         assert capsys.readouterr().err == f"nf0: error: {src}: {message}\n"
         assert not out.exists()
 
+    # the Nyquist refusal names the highest f0, so each test fills in its own
     SYNTH_ERRORS = pytest.mark.parametrize("rate, message", [
-        (8000, "f0 at or above the Nyquist frequency would alias"),
+        (8000, "f0 {f0_max} Hz at or above the Nyquist frequency 4000.0 Hz "
+               "of the 8000 Hz sample rate would alias"),
         (44111, "sample rate 44111 is not a whole number of samples per control step"),
     ], ids=["nyquist", "samples-per-step"])
 
@@ -508,6 +510,7 @@ class TestDecodeSynthPipeline:
         out = tmp_path / "out"
         assert run("--config", self.synth_config(tmp_path, rate), "--out", str(out), command,
                    "--data", str(movement_csv), "--model", str(model_file)) == 2
+        message = message.format(f0_max=4374.456962522456)  # decoded from movement_csv
         assert capsys.readouterr().err == f"nf0: error: synthesis stage failed: {message}\n"
         assert not out.exists()
 
@@ -518,7 +521,7 @@ class TestDecodeSynthPipeline:
         out = tmp_path / "out"
         assert run("--config", self.synth_config(tmp_path, rate), "--out", str(out),
                    "synth", "--f0", str(src)) == 2
-        assert capsys.readouterr().err == f"nf0: error: {message}\n"
+        assert capsys.readouterr().err == f"nf0: error: {message.format(f0_max=5150.0)}\n"
         assert not out.exists()
 
     def test_decode_renders_no_audio(self, tmp_path, movement_csv, model_file, monkeypatch):

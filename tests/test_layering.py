@@ -3,7 +3,9 @@
 pipeline.py and cli.py pass activation classes along as one int64 vector of
 class indices 1..10, from predict_batch to the WAV, and gen-data writes its
 dataset from the generator's arrays. The per-frame objects, the datasets built
-of them and the list-returning wrappers exist for the public API only. The
+of them and the list-returning wrappers exist for the public API only, and the
+array core (fit, predict_batch, the generators, labelling and run_pipeline)
+calls none of them. Each subcommand names its own handler in the parser. The
 recording CSV layout is eeg's alone: cli.py reads no CSV rows itself, and
 in eeg.py each recording rule is worded, and so checked, in one function,
 and one function, _number, reads a number from a CSV cell; its readers name
@@ -11,6 +13,7 @@ the file and its helpers do not. Every text file the package writes names its
 line separator, so no output follows the host's.
 """
 
+import argparse
 import ast
 import inspect
 from pathlib import Path
@@ -18,13 +21,15 @@ from pathlib import Path
 import pytest
 
 import neurof0
-from neurof0 import cli, eeg, pipeline
+from neurof0 import arm, cli, datagen, eeg, forest, pipeline
 
 OBJECT_APIS = {"ActivationClass", "EegFrame", "derive_labels", "window_frames",
                "predict_trajectory", "split_dataset", "from_classes",
                "generate_dataset", "generate_movement", "dataset_to_recording",
                "LabeledDataset"}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+ARRAY_CORE = [forest.fit, forest.predict_batch, datagen._eeg, datagen._labeled_recording,
+              datagen._movement_recording, arm.label_classes, pipeline.run_pipeline]
 
 
 @pytest.fixture(params=[pipeline, cli], ids=lambda m: m.__name__)
@@ -39,6 +44,22 @@ def test_calls_no_object_api(module_tree):
             func = node.func
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     assert called & OBJECT_APIS == set()
+
+
+@pytest.mark.parametrize("func", ARRAY_CORE, ids=lambda f: f"{f.__module__}.{f.__name__}")
+def test_array_core_calls_no_object_api(func):
+    test_calls_no_object_api(ast.parse(inspect.getsource(func)))
+
+
+def test_each_subcommand_runs_its_own_handler():
+    # cli_main runs args.run, so a subcommand added without a handler fails here
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    required = {"synth": ["--f0", "f0.csv"]}
+    handlers = {name: parser.parse_args([name, *required.get(name, [])]).run
+                for name in sub.choices}
+    assert handlers == {name: getattr(cli, "_cmd_" + name.replace("-", "_"))
+                        for name in sub.choices}
 
 
 def test_cli_reads_no_csv_rows():

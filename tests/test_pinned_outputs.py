@@ -3,6 +3,9 @@
 The digests were taken from the code before the CSV reader and writer,
 the config parser, the stage scorer and the path resolution were each
 reduced to one path; those refactors must leave every byte unchanged.
+The noiseless files under inf/ were pinned while gen-data still had a
+separate branch for an infinite SNR, before it was folded into the one
+noise path.
 """
 
 import hashlib
@@ -56,6 +59,10 @@ PINNED = {
         "98c7017973d1a28aef3b9a1242b9bc26c0ad3f8c34a3ff176553d1104e027aec",
     "bare_pipe/out.wav":
         "d2e9199916f3e98f1f3eb7f8490031784ef44d4ab2ce4df3b47453d247838f38",
+    "inf/dataset.csv":
+        "9ba62237d32022283b28362e29eb00a1ed8e0ee3cd609531e0d145c645bbf450",
+    "inf/movement.csv":
+        "4dd8c2105a09684ca5f8dfcb8c3c8027b7084c3a2624a500bf9b49ed362e53e4",
     "sim/trajectory.csv":
         "4a813d9ebe572277a5483f49b8a22fc9c5d02c305dae863ce17fcea62ef1078d",
 }
@@ -75,6 +82,9 @@ def digests(tmp_path_factory):
     data, sat = root / "data", root / "sat"
     run("--out", data, "--seed", 7, "gen-data", "--n", 200, "--snr-db", 20)
     run("--out", data, "--seed", 9, "gen-data", "--movement-steps", 150, "--snr-db", 20)
+    # noiseless: the noise is drawn and scaled by a sigma of exactly 0.0
+    run("--out", root / "inf", "--seed", 7, "gen-data", "--n", 200, "--snr-db", "inf")
+    run("--out", root / "inf", "--seed", 9, "gen-data", "--movement-steps", 150, "--snr-db", "inf")
     dataset = load_recording_csv(data / "dataset.csv")
     # 199 whole windows and a 5-row partial one, which carries no angle
     write_recording_csv(EegRecording(samples=dataset.samples[:, :1995],
