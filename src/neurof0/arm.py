@@ -171,8 +171,8 @@ def _stepper(model: ArmModel, sub_dt_s: float):
                 theta += dt * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
                 omega += dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
                 theta, omega = clamp(theta, omega)
-        except (OverflowError, ValueError):
-            # math.sin of an infinite angle, or an overflowing torque
+        except ValueError:
+            # math.sin of an infinite angle; float arithmetic overflows to inf, never raising
             raise FloatingPointError("simulation state left the representable range") from None
         return theta, omega
 

@@ -165,12 +165,11 @@ def _cmd_gen_data(args, cfg: PipelineConfig) -> int:
     if movement:
         with naming(f"--movement-steps {args.movement_steps}"):
             classes = _ramp(args.movement_steps)
-        rec = _movement_recording(synth_cfg, classes, cfg.arm)
-        name = "movement.csv"
-    else:
-        rec, _classes = _labeled_recording(synth_cfg, cfg.arm)
-        name = "dataset.csv"
-    path = _out_dir(args, cfg) / name
+    _check_classes_apart(cfg.arm)  # a fault of the config, not named by a flag
+    with naming(f"--snr-db {args.snr_db}"):  # noise that leaves the EEG not finite
+        rec = (_movement_recording(synth_cfg, classes, cfg.arm) if movement
+               else _labeled_recording(synth_cfg, cfg.arm)[0])
+    path = _out_dir(args, cfg) / ("movement.csv" if movement else "dataset.csv")
     write_recording_csv(rec, path)
     print(f"wrote {path} ({rec.n_samples} samples, {len(rec.kinematics)} kinematic values)")
     return 0
@@ -288,8 +287,7 @@ def cli_main(argv=None) -> int:
     try:
         cfg = _load_cfg(args)
         return args.run(args, cfg)
-    except (DataError, OSError, ValueError, FloatingPointError, OverflowError,
-            MemoryError) as exc:
+    except (OSError, ValueError, FloatingPointError, OverflowError, MemoryError) as exc:
         # the last two: a count too large to represent or to allocate
         empty_oom = isinstance(exc, MemoryError) and not str(exc)
         print(f"nf0: error: {'out of memory' if empty_oom else exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ static inverse, the true F0 is their mapped value, and the report collects
 one accuracy/RMSE pair per stage. The angle-stage accuracy snaps both
 predicted and true angles to the nearest of the ten equilibrium angles
 before comparing, since exact equality of continuous angles is vacuous.
+Only the dynamics (divergence) and the synthesis checks (sample rate,
+Nyquist) can refuse a valid recording, model and config.
 """
 
 from __future__ import annotations
@@ -147,9 +149,8 @@ class PipelineResult:
 
     @cached_property
     def audio(self) -> AudioBuffer:
-        with _stage("synthesis"):
-            return synthesize(self.f0, sample_rate_hz=self.cfg.synth_sample_rate_hz,
-                              amplitude=self.cfg.synth_amplitude)
+        return synthesize(self.f0, sample_rate_hz=self.cfg.synth_sample_rate_hz,
+                          amplitude=self.cfg.synth_amplitude)
 
 
 def _snap_to_class_angles(model: ArmModel, angles_deg: np.ndarray) -> np.ndarray:
@@ -180,7 +181,7 @@ def _score(cfg: PipelineConfig, pred: np.ndarray, truth: np.ndarray,
 def _stage(name: str):
     try:
         yield
-    except Exception as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise PipelineStageError(f"{name} stage failed: {exc}") from exc
 
 
@@ -189,17 +190,13 @@ def run_pipeline(cfg: PipelineConfig, rec: EegRecording, model: ForestModel) -> 
 
     Stages are chained exactly as the individual modules expose them; the
     forward simulation starts from rest. Without kinematics the outputs
-    are still produced and metrics is None. A failing stage raises
-    PipelineStageError naming that stage.
+    are still produced and metrics is None. A refusal of the dynamics or the
+    synthesis checks raises PipelineStageError; any other fault leaves as itself.
     """
-    with _stage("windowing"):
-        X = window_matrix(rec)
-    with _stage("classification"):
-        pred = predict_batch(model, X)[0]
+    pred = predict_batch(model, window_matrix(rec))[0]
     with _stage("dynamics"):
         angles = forward_dynamics(cfg.arm, ActivationTrajectory(pred / 10.0))
-    with _stage("pitch mapping"):
-        f0 = map_trajectory(cfg.mapping, angles)
+    f0 = map_trajectory(cfg.mapping, angles)  # F0Mapping's finite spans keep it finite
     with _stage("synthesis"):  # checks only: PipelineResult.audio renders
         _samples_per_step(f0, cfg.synth_sample_rate_hz, cfg.synth_amplitude)
 

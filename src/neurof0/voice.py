@@ -34,6 +34,9 @@ class F0Mapping:
             raise ValueError("angle_min_deg must be below angle_max_deg")
         if not 0 < self.f0_min_hz < self.f0_max_hz:
             raise ValueError("need 0 < f0_min_hz < f0_max_hz")
+        for lo, hi in ("angle_min_deg", "angle_max_deg"), ("f0_min_hz", "f0_max_hz"):
+            if not math.isfinite(getattr(self, hi) - getattr(self, lo)):
+                raise ValueError(f"the span {hi} - {lo} is not finite")
 
 
 @dataclass(frozen=True)

@@ -217,7 +217,7 @@ class TestGenData:
         out = tmp_path / "data"
         assert run("--out", str(out), "gen-data", *kind, "--snr-db", "-4000") == 2
         err = capsys.readouterr().err
-        assert err.startswith("nf0: error: ") and err.count("\n") == 1
+        assert err.startswith("nf0: error: --snr-db -4000.0: ") and err.count("\n") == 1
         assert "snr_db" in err
         assert not list(tmp_path.rglob("*.csv"))
 
@@ -523,6 +523,31 @@ class TestDecodeSynthPipeline:
                    "synth", "--f0", str(src)) == 2
         assert capsys.readouterr().err == f"nf0: error: {message.format(f0_max=5150.0)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, stage", [("decode", "predict_batch"),
+                                                ("pipeline", "synthesize")])
+    def test_out_of_memory_in_a_stage_exits_2(self, tmp_path, capsys, monkeypatch, movement_csv,
+                                              model_file, command, stage):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(pipeline, stage, exhausted)
+        assert run("--out", str(tmp_path / "out"), command, "--data", str(movement_csv),
+                   "--model", str(model_file)) == 2
+        assert capsys.readouterr().err == "nf0: error: out of memory\n"
+
+    def test_overflowing_mapping_span_one_line(self, tmp_path, movement_csv, model_file):
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"mapping": {"angle_min_deg": -1e308, "angle_max_deg": 1.7e308}}))
+        env = {**os.environ, "PYTHONPATH": str(Path(neurof0.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurof0", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "decode", "--data", str(movement_csv), "--model", str(model_file)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (f"nf0: error: {cfg}: invalid config section 'mapping': "
+                               "the span angle_max_deg - angle_min_deg is not finite\n")
 
     def test_decode_renders_no_audio(self, tmp_path, movement_csv, model_file, monkeypatch):
         argv = ["decode", "--data", str(movement_csv), "--model", str(model_file)]

@@ -9,6 +9,7 @@ from neurof0.datagen import SynthConfig, generate_dataset, generate_movement, _e
 from neurof0.eeg import ActivationClass, EegRecording, window_frames
 from neurof0.errors import DataError, PipelineStageError
 from neurof0.forest import ForestHyperparams, predict_trajectory, train
+from neurof0 import pipeline
 from neurof0.pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -97,6 +98,8 @@ class TestConfig:
         ({"armz": {}}, "unknown key(s) ['armz'] in the config"),
         ({"split": {"train_fraction": 1.5}}, "invalid config: train_fraction must be in (0, 1)"),
         ({"synth": {"amplitude": 1.5}}, "invalid config: synth_amplitude must be within [0, 1]"),
+        ({"mapping": {"angle_min_deg": -1e308, "angle_max_deg": 1.7e308}},
+         "invalid config section 'mapping': the span angle_max_deg - angle_min_deg is not finite"),
     ])
     def test_rejection_names_section_and_key(self, raw, match):
         with pytest.raises(DataError, match=re.escape(match)):
@@ -184,6 +187,17 @@ class TestRunPipeline:
         rec, _classes = generate_movement(SynthConfig(n_samples=10, seed=5), 30)
         with pytest.raises(PipelineStageError, match="^dynamics stage failed: "):
             run_pipeline(cfg, rec, trained_model)
+
+    @pytest.mark.parametrize("stage", ["window_matrix", "predict_batch", "forward_dynamics",
+                                       "map_trajectory", "_samples_per_step"])
+    def test_memory_error_leaves_as_itself(self, trained_model, monkeypatch, stage):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(pipeline, stage, exhausted)
+        rec, _classes = generate_movement(SynthConfig(n_samples=10, seed=5), 30)
+        with pytest.raises(MemoryError):
+            run_pipeline(PipelineConfig(), rec, trained_model)
 
     def test_constant_full_activation_converges_to_top_pitch(self, trained_model):
         # constant class-1.0 EEG for 5 s: decoded F0 must converge to 5150 Hz

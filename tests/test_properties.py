@@ -491,7 +491,7 @@ class TestGenDataset:
         with pytest.raises(ValueError) as want:
             _eeg_reference(cfg, [1] * 20, np.random.default_rng(0))
         assert cli_main(["--out", str(tmp_path), "gen-data", *kind, "--snr-db=-inf"]) == 2
-        assert capsys.readouterr().err == f"nf0: error: {want.value}\n"
+        assert capsys.readouterr().err == f"nf0: error: --snr-db -inf: {want.value}\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -29,6 +29,9 @@ from neurof0.voice import (
 )
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestMapping:
     def test_endpoints_exact(self):
         m = F0Mapping()
@@ -66,6 +69,31 @@ class TestMapping:
             F0Mapping(angle_min_deg=90.0, angle_max_deg=0.0)
         with pytest.raises(ValueError):
             F0Mapping(f0_min_hz=5000.0, f0_max_hz=1500.0)
+
+    @pytest.mark.parametrize("kwargs, span", [
+        ({"angle_min_deg": -1e308, "angle_max_deg": 1.7e308}, "angle_max_deg - angle_min_deg"),
+        ({"angle_min_deg": -np.inf}, "angle_max_deg - angle_min_deg"),
+        ({"angle_max_deg": np.inf}, "angle_max_deg - angle_min_deg"),
+        ({"f0_max_hz": np.inf}, "f0_max_hz - f0_min_hz"),
+    ], ids=["angle-overflow", "angle-min-inf", "angle-max-inf", "f0-max-inf"])
+    def test_span_not_finite_refused(self, kwargs, span):
+        with pytest.raises(ValueError, match=f"^the span {span} is not finite$"):
+            F0Mapping(**kwargs)
+
+    @settings(max_examples=200, deadline=None)
+    @example((-8e307, 8e307), (1e-300, 1.7e308), np.array([8e307, -1e308]))
+    @example((-1.7e308, 1.7e308), (1500.0, 5150.0), np.array([1.7e308]))  # inf / inf
+    @given(st.tuples(FINITE, FINITE).map(sorted),
+           st.tuples(*[st.floats(min_value=5e-324, max_value=sys.float_info.max)] * 2).map(sorted),
+           arrays(np.float64, st.integers(1, 8), elements=FINITE))
+    def test_finite_spans_map_every_finite_angle(self, angle_bounds, f0_bounds, angles):
+        # run_pipeline maps pitch outside any stage: this must not refuse
+        try:
+            m = F0Mapping(*angle_bounds, *f0_bounds)
+        except ValueError:  # equal bounds, or a span that overflows
+            return
+        f0 = map_trajectory(m, AngleTrajectory(angles_deg=angles)).values_hz
+        assert np.all(np.isfinite(f0)) and np.all(f0 >= m.f0_min_hz)
 
     def test_map_trajectory(self):
         m = F0Mapping()
