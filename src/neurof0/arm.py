@@ -61,8 +61,11 @@ class ArmModel:
 
     @property
     def inertia_kgm2(self) -> float:
-        """Rod inertia about the elbow, m * L^2 / 3."""
-        return self.forearm_mass_kg * self.forearm_length_m ** 2 / 3.0
+        """Rod inertia about the elbow, m * L^2 / 3; inf where L^2 overflows."""
+        try:
+            return self.forearm_mass_kg * self.forearm_length_m ** 2 / 3.0
+        except OverflowError:  # float ** raises where * returns inf
+            return math.inf
 
     @property
     def gravity_torque_max_nm(self) -> float:
@@ -227,19 +230,19 @@ def forward_dynamics(
     return forward_states(model, act, theta0_deg, sub_dt_s)[0]
 
 
-_ANGLE_LIMIT_SLACK_DEG = 1e-9
-
-
-def _check_angle_in_limits(model: ArmModel, theta_deg: float) -> float:
-    if not math.isfinite(theta_deg):
-        raise ValueError("angle must be finite")
-    if (theta_deg < model.angle_min_deg - _ANGLE_LIMIT_SLACK_DEG
-            or theta_deg > model.angle_max_deg + _ANGLE_LIMIT_SLACK_DEG):
-        raise ValueError(
-            f"angle {theta_deg} deg outside limits "
-            f"[{model.angle_min_deg}, {model.angle_max_deg}]"
-        )
-    return min(model.angle_max_deg, max(model.angle_min_deg, theta_deg))
+def _angles_in_limits(model: ArmModel, angles_deg) -> list[float]:
+    """The angles clamped into the joint limits, as Python floats; ValueError at the
+    first angle that is not finite or lies beyond a limit by more than 1e-9 deg."""
+    lo, hi = model.angle_min_deg, model.angle_max_deg
+    a = np.asarray(angles_deg, dtype=float)
+    bad = np.flatnonzero(~((a >= lo - 1e-9) & (a <= hi + 1e-9)))  # NaN included
+    if bad.size:
+        t = float(a[bad[0]])
+        raise ValueError("angle must be finite" if not math.isfinite(t)
+                         else f"angle {t} deg outside limits [{lo}, {hi}]")
+    # t > lo and t < hi pick as max(lo, t) and min(hi, t) do, signed zeros included
+    a = np.where(a > lo, a, lo)
+    return np.where(a < hi, a, hi).tolist()
 
 
 def inverse_quasistatic(model: ArmModel, target: AngleTrajectory) -> ActivationTrajectory:
@@ -255,8 +258,11 @@ def inverse_quasistatic(model: ArmModel, target: AngleTrajectory) -> ActivationT
 def _static_classes(model: ArmModel, angles_deg) -> np.ndarray:
     """label_classes without the check that the classes stay apart."""
     ratio = model.gravity_torque_max_nm / (model.max_muscle_force_n * model.moment_arm_m)
-    return nearest_classes([ratio * math.sin(math.radians(_check_angle_in_limits(model, t)))
-                            for t in np.asarray(angles_deg, dtype=float).tolist()])
+    if not math.isfinite(ratio):  # inf * sin(0) would be NaN
+        raise DataError("the arm config's gravity torque m * g * L / 2 over the muscle torque "
+                        "Fmax * r is infinite, so no angle can be labelled")
+    return nearest_classes([ratio * math.sin(math.radians(t))
+                            for t in _angles_in_limits(model, angles_deg)])
 
 
 def _check_classes_apart(model: ArmModel) -> None:
@@ -299,8 +305,7 @@ def inverse_tracking(
     """
     if len(target) == 0:
         raise ValueError("target trajectory is empty")
-    for theta in target.angles_deg:
-        _check_angle_in_limits(model, float(theta))
+    _angles_in_limits(model, target.angles_deg)
     step, clamp = _stepper(model, sub_dt_s)
     start = theta0_deg if theta0_deg is not None else float(target.angles_deg[0])
     theta, omega = clamp(math.radians(start), 0.0)

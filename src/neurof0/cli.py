@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, help="override the split/generator seed")
     parser.add_argument("--out", metavar="DIR",
                         help="output directory (default: paths.out_dir, else out)")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset or movement CSV")
     p.set_defaults(run=_cmd_gen_data)
@@ -275,15 +275,12 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def cli_main(argv=None) -> int:
+def cli_main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         cfg = _load_cfg(args)
         return args.run(args, cfg)
@@ -296,7 +293,3 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

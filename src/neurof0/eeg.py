@@ -459,8 +459,7 @@ def window_frames(rec: EegRecording) -> list[EegFrame]:
     ]
 
 
-def split_indices(n: int, train_fraction: float = 0.7,
-                  seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic shuffled train/test split of the row indices 0..n-1.
 
     The permutation comes from a Fisher-Yates shuffle driven by the
@@ -480,9 +479,8 @@ def split_indices(n: int, train_fraction: float = 0.7,
     return order[:n_train], order[n_train:]
 
 
-def split_dataset(
-    ds: LabeledDataset, train_fraction: float = 0.7, seed: int = 0
-) -> tuple[LabeledDataset, LabeledDataset]:
+def split_dataset(ds: LabeledDataset, train_fraction: float,
+                  seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """The split_indices partition of a dataset, as two datasets."""
     def take(indices: np.ndarray, tag: str) -> LabeledDataset:
         return LabeledDataset(

@@ -235,6 +235,22 @@ def nearest_class_reference(value: float) -> int:
     return min(10, max(1, int(np.floor(value * 10.0 + 0.5))))
 
 
+def check_angle_in_limits_reference(model, theta_deg: float) -> float:
+    """One angle clamped into the joint limits; ValueError if it is not finite
+    or lies beyond a limit by more than 1e-9 deg. The scalar check that
+    arm._angles_in_limits replaced, kept verbatim."""
+    slack_deg = 1e-9
+    if not math.isfinite(theta_deg):
+        raise ValueError("angle must be finite")
+    if (theta_deg < model.angle_min_deg - slack_deg
+            or theta_deg > model.angle_max_deg + slack_deg):
+        raise ValueError(
+            f"angle {theta_deg} deg outside limits "
+            f"[{model.angle_min_deg}, {model.angle_max_deg}]"
+        )
+    return min(model.angle_max_deg, max(model.angle_min_deg, theta_deg))
+
+
 def derive_labels_reference(model, angles_deg) -> list[int]:
     """Class index per angle by the scalar static inverse, one angle at a
     time: the activation that holds the angle, clamped to [0, 1], rounded

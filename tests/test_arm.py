@@ -36,6 +36,11 @@ class TestArmModel:
         assert model.is_calibrated()
         assert model.inertia_kgm2 == pytest.approx(1.5 * 0.3**2 / 3)
 
+    def test_inertia_overflows_to_inf(self):
+        # float ** raises OverflowError where L^2 overflows; the torques give inf
+        assert ArmModel(forearm_length_m=1e200).inertia_kgm2 == math.inf
+        assert ArmModel(forearm_length_m=1e150).inertia_kgm2 == 1.5 * 1e150 ** 2 / 3.0
+
     def test_custom_uncalibrated(self):
         model = ArmModel(max_muscle_force_n=50.0)
         assert not model.is_calibrated()
@@ -188,6 +193,15 @@ class TestInverseQuasistatic:
             label_classes(arm, [85.0])
         with pytest.raises(DataError):
             derive_labels(arm, AngleTrajectory(angles_deg=[]))
+
+    @pytest.mark.parametrize("arm", [
+        ArmModel(gravity_ms2=1e308, forearm_mass_kg=1e10),  # m * g * L / 2 overflows
+        ArmModel(max_muscle_force_n=1e-300, moment_arm_m=1e-20),  # a subnormal Fmax * r
+    ], ids=["infinite-gravity", "subnormal-muscle"])
+    def test_infinite_torque_ratio_refused(self, arm):
+        # inf * sin(0) is NaN, which nearest_classes refused naming no arm
+        with pytest.raises(DataError, match="^the arm config's gravity torque .* is infinite"):
+            label_classes(arm, [0.0])
 
     @pytest.mark.parametrize("force_n", [147.15, 150.0])
     def test_saturating_arm_still_labels(self, force_n):

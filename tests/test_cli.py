@@ -41,7 +41,9 @@ class TestUsageErrors:
 
     def test_no_subcommand(self, capsys):
         assert run() == 1
-        assert "usage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nf0 ")
+        assert err.splitlines()[-1] == "nf0: error: the following arguments are required: COMMAND"
 
     def test_unknown_subcommand(self, capsys):
         assert run("frobnicate") == 1
@@ -340,6 +342,36 @@ class TestArmLabels:
             "nf0: error: the arm config labels the angles of all ten classes as class 1, "
             "so no two classes can be told apart\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["train", "--data", "DATA"], ["eval", "--data", "DATA"],
+                                      ["gen-data"], ["gen-data", "--movement-steps", "30"],
+                                      ["pipeline"]],
+                             ids=["train", "eval", "gen-data", "movement", "pipeline"])
+    def test_infinite_gravity_torque_refused(self, tmp_path, capsys, dataset_csv, argv):
+        # inf * sin(0) was NaN, refused as "activation value must be finite"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"arm": {"gravity_ms2": 1e308, "forearm_mass_kg": 1e10}}))
+        out = tmp_path / "run"
+        argv = [str(dataset_csv) if a == "DATA" else a for a in argv]
+        assert run("--config", str(cfg), "--out", str(out), *argv) == 2
+        assert capsys.readouterr().err == (
+            "nf0: error: the arm config's gravity torque m * g * L / 2 over the muscle torque "
+            "Fmax * r is infinite, so no angle can be labelled\n")
+        assert not out.exists()
+
+    def test_overflowing_inertia_holds_the_arm(self, tmp_path, capsys):
+        # L ** 2 raised OverflowError, so every command exited 2
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"arm": {"forearm_length_m": 1e200}}))
+        f0 = tmp_path / "f0.csv"
+        f0.write_text("t_s,f0_hz\n0.0,1500.0\n0.01,2000.0\n")
+        out = tmp_path / "run"
+        assert run("--config", str(cfg), "--out", str(out), "synth", "--f0", str(f0)) == 0
+        assert run("--config", str(cfg), "--out", str(out), "simulate",
+                   "--constant", "0.5", "--steps", "5") == 0
+        assert "final angle 0.000 deg" in capsys.readouterr().out
+        assert np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 2].tolist() \
+            == [0.0] * 5
 
     @pytest.mark.parametrize("force", [147.15, 150.0])
     def test_saturating_arm_gen_data_runs(self, tmp_path, force):

@@ -107,6 +107,12 @@ def test_each_recording_rule_in_one_function(text, owner):
     assert functions_wording(ast.parse(inspect.getsource(eeg)), text) == {owner}
 
 
+def test_joint_limits_worded_in_one_function():
+    # _static_classes (so label_classes) and inverse_tracking both call it
+    assert functions_wording(ast.parse(inspect.getsource(arm)), "outside limits") \
+        == {"_angles_in_limits"}
+
+
 @pytest.mark.parametrize("name", ["_csv_rows", "_refusal", "_recording", "_cell_value"])
 def test_eeg_helpers_leave_the_path_to_their_boundary(name):
     # load_recording_csv and read_column name the file once, by

@@ -21,6 +21,7 @@ from helpers import (
     _eeg_reference,
     _integrate_control_step,
     assert_loads_as_streaming,
+    check_angle_in_limits_reference,
     best_split_reference,
     derive_labels_reference,
     evaluate_static_reference,
@@ -37,6 +38,7 @@ from helpers import (
 from neurof0 import forest
 from neurof0.arm import (
     ActivationTrajectory,
+    _angles_in_limits,
     AngleTrajectory,
     ArmModel,
     class_angles,
@@ -286,6 +288,45 @@ class TestLabelClasses:
                 label_classes(arm, [arm.angle_min_deg])
         else:
             self.assert_matches_reference(arm, [arm.angle_min_deg, arm.angle_max_deg])
+
+
+class TestAnglesInLimits:
+    """arm._angles_in_limits, the one joint-limit check, against the scalar
+    check it replaced, applied angle by angle."""
+
+    @staticmethod
+    def specials(arm) -> list[float]:
+        """Non-finite angles, both zeros, each limit, the last angle within
+        the 1e-9 deg slack beyond it and the first angle past that."""
+        lo, hi = arm.angle_min_deg, arm.angle_max_deg
+        edges = [lo - 1e-9, hi + 1e-9]
+        return [math.nan, math.inf, -math.inf, 0.0, -0.0, lo, hi, *edges,
+                math.nextafter(edges[0], -math.inf), math.nextafter(edges[1], math.inf)]
+
+    @SETTINGS
+    @given(limits=st.one_of(st.sampled_from([(0.0, 90.0), (-0.0, 90.0), (0.0, 1e-12)]),
+                            st.tuples(st.floats(-180.0, 180.0), st.floats(1e-6, 180.0))
+                            .map(lambda t: (t[0], t[0] + t[1]))),
+           data=st.data())
+    def test_matches_scalar_check(self, limits, data):
+        arm = ArmModel(angle_min_deg=limits[0], angle_max_deg=limits[1])
+        angles = data.draw(st.lists(st.one_of(st.floats(limits[0] - 1.0, limits[1] + 1.0),
+                                              st.sampled_from(self.specials(arm))),
+                                    max_size=30))
+        try:
+            want = [check_angle_in_limits_reference(arm, t) for t in angles]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _angles_in_limits(arm, np.array(angles))
+            assert str(got.value) == str(exc)
+            if angles and np.isfinite(angles).all():  # a trajectory holds finite angles only
+                with pytest.raises(ValueError) as got:
+                    inverse_tracking(arm, AngleTrajectory(angles))
+                assert str(got.value) == str(exc)
+            return
+        got = _angles_in_limits(arm, np.array(angles))
+        assert all(type(t) is float for t in got)
+        assert bits(got) == bits(want)
 
 
 @SETTINGS
