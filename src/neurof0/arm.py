@@ -260,7 +260,7 @@ def _static_classes(model: ArmModel, angles_deg) -> np.ndarray:
     ratio = model.gravity_torque_max_nm / (model.max_muscle_force_n * model.moment_arm_m)
     if not math.isfinite(ratio):  # inf * sin(0) would be NaN
         raise DataError("the arm config's gravity torque m * g * L / 2 over the muscle torque "
-                        "Fmax * r is infinite, so no angle can be labelled")
+                        "Fmax * r is not finite, so no angle can be labelled")
     return nearest_classes([ratio * math.sin(math.radians(t))
                             for t in _angles_in_limits(model, angles_deg)])
 

@@ -197,10 +197,12 @@ class TestInverseQuasistatic:
     @pytest.mark.parametrize("arm", [
         ArmModel(gravity_ms2=1e308, forearm_mass_kg=1e10),  # m * g * L / 2 overflows
         ArmModel(max_muscle_force_n=1e-300, moment_arm_m=1e-20),  # a subnormal Fmax * r
-    ], ids=["infinite-gravity", "subnormal-muscle"])
-    def test_infinite_torque_ratio_refused(self, arm):
-        # inf * sin(0) is NaN, which nearest_classes refused naming no arm
-        with pytest.raises(DataError, match="^the arm config's gravity torque .* is infinite"):
+        ArmModel(gravity_ms2=1e308, forearm_mass_kg=1e10,  # both overflow: inf / inf is NaN
+                 max_muscle_force_n=1e308, moment_arm_m=1e5),
+    ], ids=["infinite-gravity", "subnormal-muscle", "both-infinite"])
+    def test_torque_ratio_not_finite_refused(self, arm):
+        # inf * sin(0) and NaN * sin(t) are NaN, which nearest_classes would refuse naming no arm
+        with pytest.raises(DataError, match="^the arm config's gravity torque .* is not finite"):
             label_classes(arm, [0.0])
 
     @pytest.mark.parametrize("force_n", [147.15, 150.0])

@@ -348,7 +348,7 @@ class TestArmLabels:
                                       ["pipeline"]],
                              ids=["train", "eval", "gen-data", "movement", "pipeline"])
     def test_infinite_gravity_torque_refused(self, tmp_path, capsys, dataset_csv, argv):
-        # inf * sin(0) was NaN, refused as "activation value must be finite"
+        # without the ratio check, inf * sin(0) is NaN: "activation value must be finite"
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"arm": {"gravity_ms2": 1e308, "forearm_mass_kg": 1e10}}))
         out = tmp_path / "run"
@@ -356,11 +356,11 @@ class TestArmLabels:
         assert run("--config", str(cfg), "--out", str(out), *argv) == 2
         assert capsys.readouterr().err == (
             "nf0: error: the arm config's gravity torque m * g * L / 2 over the muscle torque "
-            "Fmax * r is infinite, so no angle can be labelled\n")
+            "Fmax * r is not finite, so no angle can be labelled\n")
         assert not out.exists()
 
     def test_overflowing_inertia_holds_the_arm(self, tmp_path, capsys):
-        # L ** 2 raised OverflowError, so every command exited 2
+        # float L ** 2 raises OverflowError where the square overflows; the inertia is inf
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"arm": {"forearm_length_m": 1e200}}))
         f0 = tmp_path / "f0.csv"

@@ -21,8 +21,8 @@ from helpers import (
     _eeg_reference,
     _integrate_control_step,
     assert_loads_as_streaming,
-    check_angle_in_limits_reference,
     best_split_reference,
+    check_angle_in_limits_reference,
     derive_labels_reference,
     evaluate_static_reference,
     forest_votes_reference,
@@ -38,9 +38,9 @@ from helpers import (
 from neurof0 import forest
 from neurof0.arm import (
     ActivationTrajectory,
-    _angles_in_limits,
     AngleTrajectory,
     ArmModel,
+    _angles_in_limits,
     class_angles,
     derive_labels,
     equilibrium_angle,
